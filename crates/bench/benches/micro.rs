@@ -7,7 +7,7 @@ use pdr_bench::harness::{BatchSize, Criterion, Throughput};
 use pdr_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 
-use pdr_bitstream::{compress_frames, decompress, Builder, Crc32, Frame, FrameAddress, Parser};
+use pdr_bitstream::{Builder, Crc32, FrameAddress, Parser};
 use pdr_core::system::{SystemConfig, ZynqPdrSystem};
 use pdr_fabric::{AspImage, AspKind};
 use pdr_sim_core::{Component, EdgeCtx, Engine, Frequency, SimDuration};
@@ -62,8 +62,6 @@ fn bench_bitstream(c: &mut Criterion) {
     let mut builder = Builder::new(0x0372_7093);
     builder.add_frames(FrameAddress::new(0, 0, 0, 0), image.frames().to_vec());
     let bs = builder.build();
-    let frames: Vec<Frame> = image.frames().to_vec();
-    let packed = compress_frames(&frames);
 
     let mut g = c.benchmark_group("bitstream");
     g.throughput(Throughput::Bytes(bs.len() as u64));
@@ -76,12 +74,6 @@ fn bench_bitstream(c: &mut Criterion) {
             }
             black_box(n)
         })
-    });
-    g.bench_function("compress_256_frames", |b| {
-        b.iter(|| black_box(compress_frames(black_box(&frames))))
-    });
-    g.bench_function("decompress_256_frames", |b| {
-        b.iter(|| black_box(decompress(black_box(&packed)).expect("ok")))
     });
     g.finish();
 }

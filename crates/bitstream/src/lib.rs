@@ -1,10 +1,10 @@
 //! # pdr-bitstream
 //!
 //! A 7-series-like FPGA configuration bitstream toolchain: the packet format,
-//! configuration registers, CRC engines, a bitstream [`Builder`], a streaming
-//! [`Parser`] (the state machine an ICAP runs internally), and the
-//! frame-level [`compress`] codec used by the paper's proposed Sec. VI
-//! bitstream-decompressor block.
+//! configuration registers, CRC engines, a bitstream [`Builder`] and a
+//! streaming [`Parser`] (the state machine an ICAP runs internally). The
+//! paper's Sec. VI bitstream decompressor is modelled by the separate
+//! `pdr-bitstream-codec` crate.
 //!
 //! The format follows the Xilinx 7-series configuration user guide (UG470) in
 //! structure — sync word, type-1/type-2 packets, `FAR`/`FDRI`/`CMD`/`CRC`
@@ -49,7 +49,6 @@
 
 pub mod builder;
 pub mod bytes;
-pub mod compress;
 pub mod crc;
 pub mod frame;
 pub mod packet;
@@ -57,7 +56,6 @@ pub mod parser;
 
 pub use builder::Builder;
 pub use bytes::Bytes;
-pub use compress::{compress_frames, decompress, StreamingDecompressor};
 pub use crc::{ConfigCrc, Crc32};
 pub use frame::{BlockType, Frame, FrameAddress, FRAME_WORDS};
 pub use packet::{Bitstream, CmdCode, ConfigReg, Opcode, PacketHeader, SYNC_WORD};

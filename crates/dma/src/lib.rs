@@ -294,7 +294,6 @@ impl AxiDma {
         if self.irq_functional {
             self.irq.raise(ctx.now());
         }
-        ctx.trace("dma-complete", self.stats.transfers, 0);
     }
 }
 

@@ -295,7 +295,6 @@ impl Component for IcapController {
         });
         if let Err(e) = result {
             self.status.parse_error = Some(e);
-            ctx.trace("icap-parse-error", self.status.words_consumed, 0);
             return;
         }
         if self.status.done && self.status.done_time == Some(now) {
@@ -303,11 +302,9 @@ impl Component for IcapController {
             // no one-shot drop is armed.
             if self.drop_next_done {
                 self.drop_next_done = false;
-                ctx.trace("icap-done-irq-dropped", self.status.frames_written, 0);
             } else if self.irq_functional {
                 self.done_irq.raise(now);
             }
-            ctx.trace("icap-done", self.status.frames_written, 0);
         }
     }
 

@@ -747,7 +747,7 @@ fn finish_campaign(
 /// Memory stays flat in the number of faults: per-event [`FaultRecord`]s
 /// are folded into the aggregate as they are produced and dropped — a
 /// 10⁶-fault campaign holds the same RSS as a 10-fault one. Use
-/// [`run_fault_campaign_streaming`] to observe the records.
+/// [`CampaignRun::run_to_end`] to observe the records.
 ///
 /// Deterministic: the result (including its JSON) is a pure function of
 /// the campaign, the system configuration and their seeds.
@@ -760,22 +760,9 @@ pub fn run_fault_campaign(
     sys: &mut ZynqPdrSystem,
     campaign: &FaultCampaign,
 ) -> FaultCampaignResult {
-    run_fault_campaign_streaming(sys, campaign, &mut |_| {})
-}
-
-/// [`run_fault_campaign`] with a record sink: `sink` receives each event's
-/// [`FaultRecord`] the moment it resolves (write it to a JSONL file, fold
-/// it, or drop it). Records are never buffered by the runner.
-pub fn run_fault_campaign_streaming(
-    sys: &mut ZynqPdrSystem,
-    campaign: &FaultCampaign,
-    sink: &mut dyn FnMut(FaultRecord),
-) -> FaultCampaignResult {
     let plan = FaultPlan::generate(&campaign.plan, sys.floorplan());
     let (mut mgr, mut st) = init_campaign(sys, campaign, &plan);
-    while let Some(rec) = step_campaign(sys, &mut mgr, campaign, &plan, &mut st) {
-        sink(rec);
-    }
+    while step_campaign(sys, &mut mgr, campaign, &plan, &mut st).is_some() {}
     finish_campaign(sys, &mgr, campaign, &plan, &st)
 }
 
@@ -873,8 +860,9 @@ impl CampaignRun {
         )
     }
 
-    /// Runs every remaining event, streaming records into `sink`, then
-    /// produces the final report.
+    /// Runs every remaining event, streaming records into `sink` the moment
+    /// each resolves (records are never buffered), then produces the final
+    /// report.
     pub fn run_to_end(&mut self, sink: &mut dyn FnMut(FaultRecord)) -> FaultCampaignResult {
         while let Some(rec) = self.step() {
             sink(rec);
@@ -1790,10 +1778,9 @@ mod tests {
 
     #[test]
     fn streaming_records_reconcile_with_the_report() {
-        let mut sys = ZynqPdrSystem::new(FaultCampaign::fast_system());
-        let c = small_fault_campaign();
+        let mut run = CampaignRun::new(FaultCampaign::fast_system(), small_fault_campaign());
         let mut counts = [0u64; 5]; // events, detected, benign, skipped, recovered
-        let r = run_fault_campaign_streaming(&mut sys, &c, &mut |rec| {
+        let r = run.run_to_end(&mut |rec| {
             counts[0] += 1;
             match rec.outcome {
                 FaultOutcome::Detected => counts[1] += 1,

@@ -154,7 +154,6 @@ impl CrcReadback {
         if !ok {
             res.failures += 1;
             self.err_irq.raise(ctx.now());
-            ctx.trace("crc-readback-error", r as u64, 0);
         }
         // Advance to the next non-empty region.
         let n = self.regions.len();

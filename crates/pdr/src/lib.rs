@@ -66,10 +66,10 @@ pub mod system;
 pub mod trace;
 
 pub use campaign::{
-    bisect_campaigns, bisect_plans, fork_replicas, run_fault_campaign,
-    run_fault_campaign_streaming, run_seu_campaign, shard_report, BisectOutcome, CampaignResult,
-    CampaignRun, DistSummary, FaultCampaign, FaultCampaignResult, FaultOutcome, FaultRecord,
-    MonteCarloReport, ParallelExecutor, ReplicaRow, SeuCampaign, StatsSummary, THREADS_ENV,
+    bisect_campaigns, bisect_plans, fork_replicas, run_fault_campaign, run_seu_campaign,
+    shard_report, BisectOutcome, CampaignResult, CampaignRun, DistSummary, FaultCampaign,
+    FaultCampaignResult, FaultOutcome, FaultRecord, MonteCarloReport, ParallelExecutor, ReplicaRow,
+    SeuCampaign, StatsSummary, THREADS_ENV,
 };
 pub use clockwizard::ClockWizard;
 pub use crc_readback::CrcReadback;

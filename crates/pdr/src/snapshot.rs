@@ -83,14 +83,7 @@ pub fn restore(config: SystemConfig, json: &Json) -> Result<ZynqPdrSystem, JsonE
 
 /// 64-bit FNV-1a over a byte slice — the digest primitive used to compare
 /// run prefixes during first-divergence bisection.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+pub use pdr_sim_core::fnv1a;
 
 /// Digest of a JSON value's canonical rendering. Two runs whose observable
 /// state renders identically digest identically; any byte of divergence

@@ -1,96 +1,13 @@
-//! Reusable generic components: sources, sinks, delay lines and rate
-//! limiters.
+//! Reusable generic components.
 //!
-//! Test benches and models frequently need the same scaffolding — "produce
-//! one item per cycle", "consume at a bounded rate and count", "delay a
-//! stream by N cycles". These blocks implement them once, with statistics,
-//! so device models and their tests stay focused on the device.
-
-use std::collections::VecDeque;
+//! [`Sink`] drains a stream at a bounded rate and counts what it consumed,
+//! so device models can terminate an output port without a bespoke
+//! component.
 
 use crate::component::{Component, NextWake};
 use crate::engine::EdgeCtx;
-use crate::fifo::{Consumer, Producer};
+use crate::fifo::Consumer;
 use crate::json::{FromJson, Json, JsonError, ToJson};
-
-/// Produces items from a generator closure, up to one per clock edge,
-/// honouring back-pressure.
-pub struct Source<T, F> {
-    name: String,
-    output: Producer<T>,
-    generator: F,
-    /// Items still to produce (`None` = unlimited).
-    remaining: Option<u64>,
-    produced: u64,
-}
-
-impl<T, F: FnMut(u64) -> T> Source<T, F> {
-    /// Creates a source producing `count` items (or unlimited when `None`);
-    /// the generator receives the item index.
-    pub fn new(name: &str, output: Producer<T>, count: Option<u64>, generator: F) -> Self {
-        Source {
-            name: name.to_string(),
-            output,
-            generator,
-            remaining: count,
-            produced: 0,
-        }
-    }
-
-    /// Items produced so far.
-    pub fn produced(&self) -> u64 {
-        self.produced
-    }
-
-    /// True when a bounded source has emitted everything.
-    pub fn is_done(&self) -> bool {
-        self.remaining == Some(0)
-    }
-}
-
-impl<T: 'static, F: FnMut(u64) -> T + 'static> Component for Source<T, F> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn on_clock_edge(&mut self, _ctx: &mut EdgeCtx<'_>) {
-        if self.remaining == Some(0) || !self.output.can_push() {
-            return;
-        }
-        let item = (self.generator)(self.produced);
-        self.output.try_push(item).ok().expect("checked can_push");
-        self.produced += 1;
-        if let Some(r) = &mut self.remaining {
-            *r -= 1;
-        }
-    }
-
-    fn next_wake(&self, _now_cycle: u64) -> NextWake {
-        // Done or back-pressured edges are pure no-ops; a consumer pop
-        // re-polls this source before its next edge can fire.
-        if self.remaining == Some(0) || !self.output.can_push() {
-            NextWake::Idle
-        } else {
-            NextWake::EveryCycle
-        }
-    }
-
-    fn snapshot_state(&self) -> Json {
-        // The generator closure is construction-time structure; `produced`
-        // is the only input it receives, so progress alone replays exactly.
-        // The output FIFO belongs to its consumer.
-        Json::Obj(vec![
-            ("remaining".to_string(), self.remaining.to_json()),
-            ("produced".to_string(), self.produced.to_json()),
-        ])
-    }
-
-    fn restore_state(&mut self, state: &Json) -> Result<(), JsonError> {
-        self.remaining = Option::<u64>::from_json(state.get("remaining").unwrap_or(&Json::Null))?;
-        self.produced = u64::from_json(state.get("produced").unwrap_or(&Json::Null))?;
-        Ok(())
-    }
-}
 
 /// Consumes up to one item per clock edge, counting and optionally
 /// inspecting them.
@@ -199,110 +116,6 @@ impl<T: ToJson + FromJson + 'static, F: FnMut(T) + 'static> Component for Sink<T
     }
 }
 
-/// Forwards items with a fixed pipeline delay of `latency` edges,
-/// sustaining one item per edge (a synchronous delay line / register
-/// pipeline).
-pub struct DelayLine<T> {
-    name: String,
-    input: Consumer<T>,
-    output: Producer<T>,
-    latency: u32,
-    pipe: VecDeque<(T, u32)>,
-    forwarded: u64,
-}
-
-impl<T> DelayLine<T> {
-    /// Creates a delay line of `latency` edges.
-    pub fn new(name: &str, input: Consumer<T>, output: Producer<T>, latency: u32) -> Self {
-        DelayLine {
-            name: name.to_string(),
-            input,
-            output,
-            latency,
-            pipe: VecDeque::new(),
-            forwarded: 0,
-        }
-    }
-
-    /// Items forwarded so far.
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
-    }
-}
-
-impl<T: ToJson + FromJson + 'static> Component for DelayLine<T> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn on_clock_edge(&mut self, _ctx: &mut EdgeCtx<'_>) {
-        for (_, age) in self.pipe.iter_mut() {
-            *age = age.saturating_sub(1);
-        }
-        if self.pipe.front().is_some_and(|(_, age)| *age == 0) && self.output.can_push() {
-            let (item, _) = self.pipe.pop_front().expect("checked front");
-            self.output.try_push(item).ok().expect("checked can_push");
-            self.forwarded += 1;
-        }
-        // Accept after delivering so a full pipe of `latency` items still
-        // sustains one item per cycle.
-        if (self.pipe.len() as u32) <= self.latency {
-            if let Some(item) = self.input.pop() {
-                self.pipe.push_back((item, self.latency));
-            }
-        }
-    }
-
-    fn next_wake(&self, _now_cycle: u64) -> NextWake {
-        // With an empty pipe and empty input an edge touches nothing; any
-        // producer push re-polls this component.
-        if self.pipe.is_empty() && self.input.is_empty() {
-            NextWake::Idle
-        } else {
-            NextWake::EveryCycle
-        }
-    }
-
-    fn snapshot_state(&self) -> Json {
-        let pipe: Vec<Json> = self
-            .pipe
-            .iter()
-            .map(|(item, age)| {
-                Json::Obj(vec![
-                    ("item".to_string(), item.to_json()),
-                    ("age".to_string(), age.to_json()),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("pipe".to_string(), Json::Arr(pipe)),
-            ("forwarded".to_string(), self.forwarded.to_json()),
-            ("input".to_string(), self.input.fifo().snapshot_json()),
-        ])
-    }
-
-    fn restore_state(&mut self, state: &Json) -> Result<(), JsonError> {
-        let pipe_v = state
-            .get("pipe")
-            .and_then(Json::as_array)
-            .ok_or_else(|| JsonError {
-                msg: "delay line snapshot missing pipe".to_string(),
-            })?;
-        let mut pipe = VecDeque::with_capacity(pipe_v.len());
-        for entry in pipe_v {
-            pipe.push_back((
-                T::from_json(entry.get("item").unwrap_or(&Json::Null))?,
-                u32::from_json(entry.get("age").unwrap_or(&Json::Null))?,
-            ));
-        }
-        self.pipe = pipe;
-        self.forwarded = u64::from_json(state.get("forwarded").unwrap_or(&Json::Null))?;
-        self.input
-            .fifo()
-            .restore_json(state.get("input").unwrap_or(&Json::Null))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,37 +124,6 @@ mod tests {
     use crate::time::{Frequency, SimDuration};
     use std::cell::RefCell;
     use std::rc::Rc;
-
-    #[test]
-    fn source_produces_exactly_count_items() {
-        let mut e = Engine::new();
-        let clk = e.add_clock_domain("clk", Frequency::from_mhz(100));
-        let (tx, rx) = fifo_channel::<u64>("s", 64);
-        fn double(i: u64) -> u64 {
-            i * 2
-        }
-        let gen: fn(u64) -> u64 = double;
-        let id = e.add_component(Source::new("src", tx, Some(10), gen), Some(clk));
-        e.run_for(SimDuration::from_micros(1));
-        let got: Vec<u64> = std::iter::from_fn(|| rx.pop()).collect();
-        assert_eq!(got, (0..10).map(|i| i * 2).collect::<Vec<_>>());
-        let src = e.component::<Source<u64, fn(u64) -> u64>>(id);
-        assert_eq!(src.produced(), 10);
-        assert!(src.is_done());
-        assert_eq!(rx.stats().pushed, 10);
-    }
-
-    #[test]
-    fn source_respects_backpressure() {
-        let mut e = Engine::new();
-        let clk = e.add_clock_domain("clk", Frequency::from_mhz(100));
-        let (tx, rx) = fifo_channel::<u64>("s", 2);
-        e.add_component(Source::new("src", tx, None, |i| i), Some(clk));
-        e.run_for(SimDuration::from_micros(1));
-        assert_eq!(rx.len(), 2, "unbounded source must stall at capacity");
-        assert_eq!(rx.pop(), Some(0));
-        assert_eq!(rx.pop(), Some(1));
-    }
 
     #[test]
     fn sink_with_stride_rate_limits() {
@@ -360,25 +142,6 @@ mod tests {
         e.run_for(SimDuration::from_micros(1)); // 100 edges → 25 items
         assert_eq!(seen.borrow().len(), 25);
         assert_eq!(seen.borrow()[..3], [0, 1, 2]);
-    }
-
-    #[test]
-    fn delay_line_delays_and_sustains_throughput() {
-        let mut e = Engine::new();
-        let clk = e.add_clock_domain("clk", Frequency::from_mhz(100));
-        let (in_tx, in_rx) = fifo_channel::<u64>("in", 256);
-        let (out_tx, out_rx) = fifo_channel::<u64>("out", 256);
-        e.add_component(Source::new("src", in_tx, Some(50), |i| i), Some(clk));
-        e.add_component(DelayLine::new("dly", in_rx, out_tx, 5), Some(clk));
-        // After 10 cycles, the head of the stream has crossed (latency ~6-7
-        // cycles including handoffs) but the tail has not.
-        e.run_for(SimDuration::from_nanos(100));
-        let early = out_rx.len();
-        assert!((1..10).contains(&early), "early={early}");
-        e.run_for(SimDuration::from_micros(1));
-        let got: Vec<u64> = std::iter::from_fn(|| out_rx.pop()).collect();
-        assert_eq!(got.len(), 50, "everything crosses eventually");
-        assert!(got.windows(2).all(|w| w[0] < w[1]), "order preserved");
     }
 
     #[test]

@@ -161,7 +161,7 @@ pub trait Component: Any {
     ///
     /// The contract: restoring the returned value into a freshly constructed
     /// component (same constructor arguments, same wiring) must make every
-    /// future observable — FIFO traffic, trace events, counters — byte-
+    /// future observable — FIFO traffic, interrupts, counters — byte-
     /// identical to the component that was snapshotted. Construction-time
     /// structure (names, capacities, closures, port wiring) is *not*
     /// serialised; only state that evolves during simulation is.

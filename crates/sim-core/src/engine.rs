@@ -7,7 +7,7 @@
 //! the same instant always fire in the order they were scheduled, on every
 //! run, on every platform. Clock-domain members are called in registration
 //! order. Given the same component set and seeds, two runs produce identical
-//! traces (this is asserted by property tests).
+//! component state (this is asserted by property tests).
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -17,7 +17,6 @@ use crate::clock::{ClockDomain, ClockDomainId, ClockDomainInfo};
 use crate::component::{Component, ComponentId, Event, NextWake};
 use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::time::{Frequency, SimDuration, SimTime, PS_PER_SEC};
-use crate::trace::{Trace, TraceRecord};
 
 /// How the engine advances a clock domain between interesting edges.
 ///
@@ -112,7 +111,6 @@ struct Kernel {
     now: SimTime,
     seq: u64,
     domains: Vec<ClockDomain>,
-    trace: Trace,
     stop_request: Option<u64>,
     actions_dispatched: u64,
 }
@@ -159,8 +157,8 @@ impl Kernel {
 /// The execution context handed to components during dispatch.
 ///
 /// Through the context a component can read time, schedule events, re-program
-/// or gate clock domains (the Clock Wizard's lever), record trace events and
-/// request a simulation stop.
+/// or gate clock domains (the Clock Wizard's lever) and request a simulation
+/// stop.
 pub struct EdgeCtx<'a> {
     kernel: &'a mut Kernel,
     self_id: ComponentId,
@@ -224,18 +222,6 @@ impl<'a> EdgeCtx<'a> {
     pub fn request_stop(&mut self, code: u64) {
         self.kernel.stop_request = Some(code);
     }
-
-    /// Records a trace event attributed to the current component.
-    pub fn trace(&mut self, kind: &'static str, a: u64, b: u64) {
-        let now = self.kernel.now;
-        self.kernel.trace.record(TraceRecord {
-            time: now,
-            component: self.self_id.index() as u32,
-            kind,
-            a,
-            b,
-        });
-    }
 }
 
 struct Slot {
@@ -265,8 +251,7 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Creates an empty engine at t = 0 with tracing disabled, using the
-    /// event-skipping strategy.
+    /// Creates an empty engine at t = 0, using the event-skipping strategy.
     pub fn new() -> Self {
         Self::with_strategy(EngineStrategy::EventSkip)
     }
@@ -279,7 +264,6 @@ impl Engine {
                 now: SimTime::ZERO,
                 seq: 0,
                 domains: Vec::new(),
-                trace: Trace::disabled(),
                 stop_request: None,
                 actions_dispatched: 0,
             },
@@ -291,27 +275,6 @@ impl Engine {
     /// The engine's advance strategy.
     pub fn strategy(&self) -> EngineStrategy {
         self.strategy
-    }
-
-    /// Enables the bounded in-memory trace with the given capacity.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.kernel.trace = Trace::with_capacity(capacity);
-    }
-
-    /// Read access to the trace buffer.
-    pub fn trace(&self) -> &Trace {
-        &self.kernel.trace
-    }
-
-    /// The registered names of all components, indexed by component id.
-    pub fn component_names(&self) -> Vec<&str> {
-        self.slots.iter().map(|s| s.name.as_str()).collect()
-    }
-
-    /// Renders the trace buffer as a VCD waveform document (see
-    /// [`crate::vcd`]).
-    pub fn trace_vcd(&self) -> String {
-        crate::vcd::trace_to_vcd(&self.kernel.trace, &self.component_names())
     }
 
     /// Current simulated time.
@@ -931,9 +894,7 @@ impl Engine {
     /// The snapshot captures *mutable* state only: the component graph
     /// (registration order, domain bindings, FIFO wiring) is reproduced by
     /// re-running the same construction code, then [`Engine::restore`]
-    /// overlays this state. The debug [`Trace`] buffer is not captured — it
-    /// is a bounded diagnostic aid, disabled by default, and not part of the
-    /// byte-identity contract (the structured `pdr` tape is).
+    /// overlays this state.
     ///
     /// Must be taken between runs (never from inside a dispatch).
     pub fn snapshot(&self) -> Json {
@@ -1410,10 +1371,8 @@ mod tests {
             },
             None,
         );
-        let names = e.component_names();
-        assert_eq!(names[a.index()], "stopper");
-        assert_eq!(names[b.index()], "edge-counter");
         assert_eq!(e.component_name(a), "stopper");
+        assert_eq!(e.component_name(b), "edge-counter");
     }
 
     /// A ported component doing observable work every `period`-th cycle,

@@ -23,9 +23,10 @@
 //!   endpoints over shared storage), the universal hardware-channel primitive.
 //! * [`irq`] — shared interrupt lines (set by hardware, observed by the
 //!   processing-system model).
-//! * [`stats`] and [`trace`] — counters, online statistics, histograms and a
-//!   bounded event trace for debugging and measurement; [`vcd`] exports the
-//!   trace as a waveform file for GTKWave-style inspection.
+//! * [`stats`] — online statistics, exact and bounded-memory quantiles and
+//!   time-weighted averages for measurement.
+//! * [`blocks`] — reusable generic components (a rate-limited [`blocks::Sink`]).
+//! * [`thermal`] — a first-order RC die-temperature node with an alarm line.
 //! * [`rng`] — a locally implemented SplitMix64 / xoshiro256\*\* PRNG so that
 //!   simulation streams are bit-stable regardless of external crate versions.
 //! * [`json`] — a dependency-free JSON encoder/decoder (the workspace builds
@@ -67,14 +68,12 @@ pub mod rng;
 pub mod stats;
 pub mod thermal;
 pub mod time;
-pub mod trace;
-pub mod vcd;
 
 pub use clock::{ClockDomainId, ClockDomainInfo};
 pub use component::{Component, ComponentId, Event, EventKey, NextWake};
 pub use engine::{EdgeCtx, Engine, EngineStrategy, RunResult, StopReason};
 pub use fifo::{fifo_channel, Consumer, Fifo, Producer};
 pub use irq::{IrqBus, IrqLine};
-pub use rng::{SplitMix64, Xoshiro256StarStar};
+pub use rng::{fnv1a, SplitMix64, Xoshiro256StarStar};
 pub use thermal::{ThermalRc, ThermalRcConfig, ThermalSample};
 pub use time::{Frequency, SimDuration, SimTime};

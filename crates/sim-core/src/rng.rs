@@ -8,6 +8,8 @@
 //! * [`SplitMix64`] — a tiny 64-bit generator used for seeding.
 //! * [`Xoshiro256StarStar`] — the main generator (Blackman & Vigna), with
 //!   period 2²⁵⁶ − 1 and excellent statistical quality for simulation use.
+//! * [`fnv1a`] — the 64-bit FNV-1a hash, used to derive per-name seed
+//!   streams and to digest canonical JSON renderings.
 
 /// SplitMix64: a fast 64-bit generator, mainly used to expand a single `u64`
 /// seed into the 256-bit state of [`Xoshiro256StarStar`].
@@ -172,9 +174,25 @@ impl Xoshiro256StarStar {
     }
 }
 
+/// 64-bit FNV-1a over a byte slice.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_known_answers() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
 
     #[test]
     fn splitmix_reference_vector() {

@@ -158,94 +158,11 @@ impl fmt::Display for OnlineStats {
     }
 }
 
-/// Power-of-two bucketed histogram for non-negative integer samples
-/// (latencies in cycles, burst sizes, queue depths).
-///
-/// Bucket `i` counts samples in `[2^(i-1), 2^i)`, with bucket 0 counting the
-/// value 0 and 1 exactly… more precisely: bucket index is
-/// `64 - (x.leading_zeros())` for `x > 0`, and 0 for `x == 0`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Log2Histogram {
-    buckets: [u64; 65],
-    count: u64,
-    sum: u128,
-}
-
-impl Default for Log2Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Log2Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Log2Histogram {
-            buckets: [0; 65],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    /// Adds one sample.
-    pub fn push(&mut self, x: u64) {
-        let idx = if x == 0 {
-            0
-        } else {
-            64 - x.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += x as u128;
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of all samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// An upper bound for the `q`-quantile (`0.0 ..= 1.0`) from bucket edges.
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return if i == 0 { 0 } else { (1u128 << i) as u64 - 1 };
-            }
-        }
-        u64::MAX
-    }
-
-    /// Non-empty buckets as `(upper_bound_exclusive_log2, count)` pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c))
-            .collect()
-    }
-}
-
 /// Exact-quantile accumulator: retains every sample and sorts on demand.
 ///
-/// [`OnlineStats`] gives streaming moments and [`Log2Histogram`] gives
-/// power-of-two quantile *bounds*; latency telemetry (p50/p99 of queueing
-/// delay) wants exact order statistics, which need the full sample vector.
+/// [`OnlineStats`] gives streaming moments; latency telemetry (p50/p99 of
+/// queueing delay) wants exact order statistics, which need the full sample
+/// vector.
 /// Workloads in this simulator are bounded (thousands of requests, not
 /// billions), so retention is cheap.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -711,20 +628,6 @@ mod tests {
         assert_eq!(a.count(), all.count());
         assert!((a.mean() - all.mean()).abs() < 1e-9);
         assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn log2_histogram_buckets_and_quantiles() {
-        let mut h = Log2Histogram::new();
-        for x in [0u64, 1, 1, 2, 3, 4, 100, 1000] {
-            h.push(x);
-        }
-        assert_eq!(h.count(), 8);
-        assert!((h.mean() - 1111.0 / 8.0).abs() < 1e-12);
-        assert_eq!(h.quantile_upper_bound(0.0), 0);
-        assert!(h.quantile_upper_bound(1.0) >= 1000);
-        // Median should be bounded by a small power of two.
-        assert!(h.quantile_upper_bound(0.5) <= 3);
     }
 
     #[test]

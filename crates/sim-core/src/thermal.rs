@@ -281,7 +281,6 @@ impl ThermalRc {
             self.alarmed = true;
             self.alarm_count += 1;
             self.alarm_irq.raise(ctx.now());
-            ctx.trace("thermal-alarm", self.temp_mc() as u64, self.alarm_count);
         } else if self.alarmed && self.temp_uc < (self.cfg.alarm_mc - self.cfg.hysteresis_mc) * 1000
         {
             self.alarmed = false;

@@ -5,7 +5,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, Once, OnceLock};
 
-use pdr_sim_core::rng::SplitMix64;
+use pdr_sim_core::rng::{fnv1a, SplitMix64};
 
 use crate::choices::Choices;
 use crate::shrink::{shrink, Verdict};
@@ -261,17 +261,6 @@ pub fn load_regression_seeds(path: &Path, property: &str) -> Vec<u64> {
     seeds
 }
 
-/// FNV-1a, used to give every property its own case-seed stream even when
-/// two properties share one run seed.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Runs one seeded case; on failure, shrinks it and returns the minimal
 /// counterexample.
 fn run_seeded_case(
@@ -326,7 +315,9 @@ pub fn check_quietly(name: &str, cfg: &Config, prop: impl Fn(&mut Choices)) -> R
     }
 
     // 3. The main loop: fresh cases from the per-property seed stream.
-    let mut master = SplitMix64::new(DEFAULT_SEED ^ fnv1a(name));
+    // Hashing the name gives every property its own stream even when two
+    // properties share one run seed.
+    let mut master = SplitMix64::new(DEFAULT_SEED ^ fnv1a(name.as_bytes()));
     let mut ran = 0u32;
     let mut discards = 0u32;
     while ran < cfg.cases {

@@ -4,10 +4,7 @@ use pdr_testkit::{
     any_u32, assume, indices, property, tuple2, tuple4, u32s, usizes, vec_of, weighted, Config, Gen,
 };
 
-use pdr_lab::bitstream::{
-    compress_frames, decompress, Action, Bitstream, Builder, Frame, FrameAddress, Parser,
-    FRAME_WORDS,
-};
+use pdr_lab::bitstream::{Action, Bitstream, Builder, Frame, FrameAddress, Parser, FRAME_WORDS};
 
 fn cfg() -> Config {
     Config::with_cases(64).regressions(concat!(
@@ -97,21 +94,6 @@ property! {
             }
         };
         assert!(acceptable, "flip of word {idx} bit {bit} went unnoticed");
-    }
-
-    /// Frame compression is lossless for arbitrary content.
-    fn compression_roundtrip(frames in frame_runs(16)) {
-        let packed = compress_frames(&frames);
-        let out = decompress(&packed).expect("own output must decode");
-        assert_eq!(out, frames);
-    }
-
-    /// Compression never inflates by more than the token overhead.
-    fn compression_overhead_is_bounded(frames in frame_runs(16)) {
-        let packed = compress_frames(&frames);
-        let raw = frames.len() * FRAME_WORDS * 4;
-        // Worst case: every frame is a separate literal run: 3 bytes per run.
-        assert!(packed.len() <= raw + 3 * frames.len());
     }
 
     /// Word-level serialisation round-trips through both byte orders.

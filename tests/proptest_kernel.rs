@@ -10,7 +10,7 @@ use pdr_testkit::{
 };
 
 use pdr_lab::fabric::{ColumnKind, Geometry};
-use pdr_lab::sim::stats::{Log2Histogram, OnlineStats};
+use pdr_lab::sim::stats::OnlineStats;
 use pdr_lab::sim::{
     fifo_channel, Component, ComponentId, EdgeCtx, Engine, EngineStrategy, Event, Frequency,
     NextWake, SimDuration,
@@ -127,19 +127,6 @@ property! {
         assert!((a.mean() - whole.mean()).abs() < 1e-6);
         let tol = (whole.variance() * 1e-9).max(1e-3);
         assert!((a.variance() - whole.variance()).abs() < tol);
-    }
-
-    /// Histogram quantile upper bounds actually bound the requested mass.
-    fn histogram_quantile_bounds_hold(
-        xs in vec_of(u64s(0..1_000_000), 1..200),
-        q in f64s(0.0..1.0),
-    ) {
-        let mut h = Log2Histogram::new();
-        for &x in &xs { h.push(x); }
-        let bound = h.quantile_upper_bound(q);
-        let at_or_below = xs.iter().filter(|&&x| x <= bound).count() as f64;
-        assert!(at_or_below / xs.len() as f64 >= q.min(1.0) - 1e-9,
-            "bound {bound} covers {at_or_below}/{} < q={q}", xs.len());
     }
 
     /// DRAM bank/row decode: addresses within one row map to the same

@@ -179,26 +179,6 @@ fn background_monitor_catches_injected_seu() {
 }
 
 #[test]
-fn trace_exports_reconfiguration_waveform() {
-    let mut sys = system();
-    sys.engine_mut().enable_trace(4096);
-    let bs = sys.make_asp_bitstream(0, AspKind::Fir16, 1);
-    assert!(sys.reconfigure(0, &bs, mhz(100)).crc_ok());
-    let vcd = sys.engine_mut().trace_vcd();
-    // The ICAP's done event and the DMA's completion appear as signals.
-    assert!(
-        vcd.contains("icap.icap.done") || vcd.contains("icap.icap_done"),
-        "{}",
-        &vcd[..400.min(vcd.len())]
-    );
-    assert!(vcd.contains("$enddefinitions"));
-    assert!(
-        vcd.lines().any(|l| l.starts_with('#')),
-        "timestamps present"
-    );
-}
-
-#[test]
 fn interconnect_sees_traffic_proportional_to_bitstream() {
     let mut sys = system();
     let bs = sys.make_asp_bitstream(0, AspKind::Fir16, 1);
