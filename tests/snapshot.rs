@@ -131,3 +131,40 @@ fn restore_rejects_structural_mismatch() {
     quad.strategy = EngineStrategy::EventSkip;
     assert!(snapshot::restore(quad, &snap).is_err());
 }
+
+/// `(rendered length, FNV-1a of the rendering)` of a checkpoint.
+fn pin(json: &pdr_lab::sim::json::Json) -> (usize, u64) {
+    let text = json.render();
+    (text.len(), snapshot::fnv1a(text.as_bytes()))
+}
+
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    // The checkpoint layout is a contract with every file already on disk:
+    // a codec refactor must leave each byte where it was. The documents are
+    // hundreds of kilobytes, so the test pins their digests, not golden files.
+    use pdr_lab::pdr::fleet::{FleetConfig, FleetRun};
+    use pdr_lab::pdr::{CampaignRun, FaultCampaign, ParallelExecutor};
+
+    let mut got = Vec::new();
+    for strategy in [EngineStrategy::EventSkip, EngineStrategy::Tick] {
+        let mut sys = ZynqPdrSystem::new(config(strategy));
+        warm_up(&mut sys);
+        got.push(pin(&snapshot::take(&sys)));
+    }
+    let mut campaign = CampaignRun::new(FaultCampaign::fast_system(), FaultCampaign::default());
+    for _ in 0..3 {
+        campaign.step();
+    }
+    got.push(pin(&campaign.checkpoint()));
+    let mut fleet = FleetRun::new(FleetConfig::default());
+    fleet.step_epoch(&ParallelExecutor::serial());
+    got.push(pin(&fleet.checkpoint()));
+    let pinned = [
+        (219625, 0x754d9712738bba45), // system, event-skip
+        (219451, 0x6cd0afc34c5985d6), // system, tick
+        (415396, 0xd0064455b0c151f0), // campaign after 3 steps
+        (9955, 0x645e9e952cad5d53),   // fleet after one epoch
+    ];
+    assert_eq!(got, pinned);
+}
