@@ -7,7 +7,7 @@
 //! 790 MB/s, which is exactly the throughput plateau the paper measures once
 //! the ICAP clock exceeds ~200 MHz (Fig. 5).
 
-use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
+use pdr_sim_core::json::{Json, JsonError, ToJson};
 use pdr_sim_core::{
     fifo_channel, impl_json_struct, Component, Consumer, EdgeCtx, NextWake, Producer,
 };
@@ -201,7 +201,7 @@ impl Component for ReadInterconnect {
             .map(|m| m.req_in.fifo().snapshot_json())
             .collect();
         Json::Obj(vec![
-            ("rr_next".to_string(), (self.rr_next as u64).to_json()),
+            ("rr_next".to_string(), self.rr_next.to_json()),
             ("stats".to_string(), self.stats.to_json()),
             ("last_cycle".to_string(), self.last_cycle.to_json()),
             (
@@ -213,17 +213,17 @@ impl Component for ReadInterconnect {
     }
 
     fn restore_state(&mut self, state: &Json) -> Result<(), JsonError> {
-        self.rr_next = u64::from_json(state.get("rr_next").unwrap_or(&Json::Null))? as usize;
-        self.stats = InterconnectStats::from_json(state.get("stats").unwrap_or(&Json::Null))?;
-        self.last_cycle = u64::from_json(state.get("last_cycle").unwrap_or(&Json::Null))?;
+        self.rr_next = state.field("rr_next")?;
+        self.stats = state.field("stats")?;
+        self.last_cycle = state.field("last_cycle")?;
         self.slave_beat_in
             .fifo()
-            .restore_json(state.get("slave_beats").unwrap_or(&Json::Null))?;
+            .restore_json(state.required("slave_beats")?)?;
         let reqs = state
-            .get("master_reqs")
-            .and_then(Json::as_array)
+            .required("master_reqs")?
+            .as_array()
             .ok_or_else(|| JsonError {
-                msg: "interconnect snapshot missing master_reqs".to_string(),
+                msg: "master_reqs: expected array".to_string(),
             })?;
         if reqs.len() != self.masters.len() {
             return Err(JsonError {

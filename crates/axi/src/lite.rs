@@ -12,7 +12,15 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
-use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
+use pdr_sim_core::impl_json_struct;
+use pdr_sim_core::json::{Json, JsonError, ToJson};
+
+/// One register in a checkpoint.
+struct Register {
+    addr: u32,
+    value: u32,
+}
+impl_json_struct!(Register { addr, value });
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -76,18 +84,13 @@ impl RegisterFile {
     /// checkpoint.
     pub fn snapshot_json(&self) -> Json {
         let inner = self.inner.borrow();
-        let regs: Vec<Json> = inner
+        let regs: Vec<Register> = inner
             .regs
             .iter()
-            .map(|(addr, value)| {
-                Json::Obj(vec![
-                    ("addr".to_string(), addr.to_json()),
-                    ("value".to_string(), value.to_json()),
-                ])
-            })
+            .map(|(&addr, &value)| Register { addr, value })
             .collect();
         Json::Obj(vec![
-            ("regs".to_string(), Json::Arr(regs)),
+            ("regs".to_string(), regs.to_json()),
             ("reads".to_string(), inner.reads.to_json()),
             ("writes".to_string(), inner.writes.to_json()),
         ])
@@ -96,21 +99,10 @@ impl RegisterFile {
     /// Restores contents captured by [`RegisterFile::snapshot_json`],
     /// replacing all current registers.
     pub fn restore_json(&self, v: &Json) -> Result<(), JsonError> {
-        let regs_v = v
-            .get("regs")
-            .and_then(Json::as_array)
-            .ok_or_else(|| JsonError {
-                msg: "register file snapshot missing regs".to_string(),
-            })?;
-        let mut regs = BTreeMap::new();
-        for entry in regs_v {
-            regs.insert(
-                u32::from_json(entry.get("addr").unwrap_or(&Json::Null))?,
-                u32::from_json(entry.get("value").unwrap_or(&Json::Null))?,
-            );
-        }
-        let reads = u64::from_json(v.get("reads").unwrap_or(&Json::Null))?;
-        let writes = u64::from_json(v.get("writes").unwrap_or(&Json::Null))?;
+        let regs: Vec<Register> = v.field("regs")?;
+        let regs = regs.into_iter().map(|r| (r.addr, r.value)).collect();
+        let reads = v.field("reads")?;
+        let writes = v.field("writes")?;
         let mut inner = self.inner.borrow_mut();
         inner.regs = regs;
         inner.reads = reads;

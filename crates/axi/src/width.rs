@@ -5,7 +5,7 @@
 //! domain and emits **at most one 32-bit word per cycle**, which makes the
 //! ICAP-side byte rate exactly `4 B × f` — the linear region of Fig. 5.
 
-use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
+use pdr_sim_core::json::{Json, JsonError, ToJson};
 use pdr_sim_core::{impl_json_struct, Component, Consumer, EdgeCtx, NextWake, Producer};
 
 use crate::stream::StreamBeat;
@@ -101,11 +101,9 @@ impl Component for Width64To32 {
     }
 
     fn restore_state(&mut self, state: &Json) -> Result<(), JsonError> {
-        self.carry = Option::<Word32>::from_json(state.get("carry").unwrap_or(&Json::Null))?;
-        self.words_out = u64::from_json(state.get("words_out").unwrap_or(&Json::Null))?;
-        self.input
-            .fifo()
-            .restore_json(state.get("input").unwrap_or(&Json::Null))
+        self.carry = state.field("carry")?;
+        self.words_out = state.field("words_out")?;
+        self.input.fifo().restore_json(state.required("input")?)
     }
 }
 

@@ -24,7 +24,7 @@ use pdr_axi::interconnect::MasterEndpoints;
 use pdr_axi::mm::ReadReq;
 use pdr_axi::stream::StreamBeat;
 use pdr_axi::RegisterFile;
-use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
+use pdr_sim_core::json::{Json, JsonError, ToJson};
 use pdr_sim_core::{impl_json_struct, Component, EdgeCtx, IrqLine, NextWake, Producer};
 
 /// `MM2S_DMACR` control register offset.
@@ -414,17 +414,11 @@ impl Component for AxiDma {
     }
 
     fn restore_state(&mut self, state: &Json) -> Result<(), JsonError> {
-        let sv = state.get("state").unwrap_or(&Json::Null);
-        let kind = sv
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| JsonError {
-                msg: "dma snapshot missing state".to_string(),
-            })?;
-        self.state = match kind {
+        let sv = state.required("state")?;
+        self.state = match sv.field::<String>("kind")?.as_str() {
             "halted" => State::Halted,
             "starting" => State::Starting {
-                remaining: u32::from_json(sv.get("remaining").unwrap_or(&Json::Null))?,
+                remaining: sv.field("remaining")?,
             },
             "running" => State::Running,
             other => {
@@ -433,23 +427,20 @@ impl Component for AxiDma {
                 })
             }
         };
-        self.irq_functional = bool::from_json(state.get("irq_functional").unwrap_or(&Json::Null))?;
-        self.stall_cycles = u64::from_json(state.get("stall_cycles").unwrap_or(&Json::Null))?;
-        self.fetch_addr = u64::from_json(state.get("fetch_addr").unwrap_or(&Json::Null))?;
-        self.bytes_to_request =
-            u64::from_json(state.get("bytes_to_request").unwrap_or(&Json::Null))?;
-        self.bytes_to_stream = u64::from_json(state.get("bytes_to_stream").unwrap_or(&Json::Null))?;
-        self.outstanding = u32::from_json(state.get("outstanding").unwrap_or(&Json::Null))?;
-        self.last_cycle = u64::from_json(state.get("last_cycle").unwrap_or(&Json::Null))?;
-        self.stats = DmaStats::from_json(state.get("stats").unwrap_or(&Json::Null))?;
-        self.regs
-            .restore_json(state.get("regs").unwrap_or(&Json::Null))?;
-        self.irq
-            .restore_json(state.get("irq").unwrap_or(&Json::Null))?;
+        self.irq_functional = state.field("irq_functional")?;
+        self.stall_cycles = state.field("stall_cycles")?;
+        self.fetch_addr = state.field("fetch_addr")?;
+        self.bytes_to_request = state.field("bytes_to_request")?;
+        self.bytes_to_stream = state.field("bytes_to_stream")?;
+        self.outstanding = state.field("outstanding")?;
+        self.last_cycle = state.field("last_cycle")?;
+        self.stats = state.field("stats")?;
+        self.regs.restore_json(state.required("regs")?)?;
+        self.irq.restore_json(state.required("irq")?)?;
         self.mem
             .beats
             .fifo()
-            .restore_json(state.get("beats_in").unwrap_or(&Json::Null))
+            .restore_json(state.required("beats_in")?)
     }
 }
 

@@ -24,7 +24,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use pdr_axi::width::Word32;
-use pdr_bitstream::{Action, CmdCode, ParseError, Parser, ParserSnapshot};
+use pdr_bitstream::{Action, CmdCode, FrameAddress, ParseError, Parser, ParserSnapshot};
 use pdr_fabric::ConfigMemory;
 use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
 use pdr_sim_core::{Component, Consumer, EdgeCtx, IrqLine, NextWake, SimTime, Xoshiro256StarStar};
@@ -88,7 +88,7 @@ pub struct IcapController {
     expected_idcode: Option<u32>,
     rng: Xoshiro256StarStar,
     /// FAR of the current FDRI burst (tracked for burst-relative writes).
-    burst_far: Option<pdr_bitstream::FrameAddress>,
+    burst_far: Option<FrameAddress>,
 }
 
 impl IcapController {
@@ -192,14 +192,8 @@ fn parse_error_from_json(v: &Json) -> Result<Option<ParseError>, JsonError> {
     if matches!(v, Json::Null) {
         return Ok(None);
     }
-    let kind = v
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or_else(|| JsonError {
-            msg: "parse error snapshot missing kind".to_string(),
-        })?;
-    let word = u32::from_json(v.get("word").unwrap_or(&Json::Null))?;
-    Ok(Some(match kind {
+    let word = v.field("word")?;
+    Ok(Some(match v.field::<String>("kind")?.as_str() {
         "invalid_header" => ParseError::InvalidHeader(word),
         "unexpected_type2" => ParseError::UnexpectedType2(word),
         "unknown_register" => ParseError::UnknownRegister(word),
@@ -229,18 +223,61 @@ fn parser_snapshot_to_json(s: &ParserSnapshot) -> Json {
 }
 
 fn parser_snapshot_from_json(v: &Json) -> Result<ParserSnapshot, JsonError> {
-    let g = |key: &str| v.get(key).unwrap_or(&Json::Null);
     Ok(ParserSnapshot {
-        state: u8::from_json(g("state"))?,
-        reg_addr: u32::from_json(g("reg_addr"))?,
-        remaining: u32::from_json(g("remaining"))?,
-        crc: u32::from_json(g("crc"))?,
-        burst_far: Option::<u32>::from_json(g("burst_far"))?,
-        burst_seq: u32::from_json(g("burst_seq"))?,
-        frame_buf: Vec::<u32>::from_json(g("frame_buf"))?,
-        words_consumed: u64::from_json(g("words_consumed"))?,
-        frames_emitted: u64::from_json(g("frames_emitted"))?,
+        state: v.field("state")?,
+        reg_addr: v.field("reg_addr")?,
+        remaining: v.field("remaining")?,
+        crc: v.field("crc")?,
+        burst_far: v.field("burst_far")?,
+        burst_seq: v.field("burst_seq")?,
+        frame_buf: v.field("frame_buf")?,
+        words_consumed: v.field("words_consumed")?,
+        frames_emitted: v.field("frames_emitted")?,
     })
+}
+
+/// Hand-written because `parse_error` has no [`ToJson`] of its own: the
+/// bitstream crate that owns [`ParseError`] carries no codec.
+impl ToJson for IcapStatus {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("words_consumed".to_string(), self.words_consumed.to_json()),
+            ("frames_written".to_string(), self.frames_written.to_json()),
+            ("stream_crc_ok".to_string(), self.stream_crc_ok.to_json()),
+            ("done".to_string(), self.done.to_json()),
+            ("done_time".to_string(), self.done_time.to_json()),
+            (
+                "parse_error".to_string(),
+                parse_error_to_json(&self.parse_error),
+            ),
+            (
+                "idcode_mismatch".to_string(),
+                self.idcode_mismatch.to_json(),
+            ),
+            (
+                "corrupted_words".to_string(),
+                self.corrupted_words.to_json(),
+            ),
+        ])
+    }
+}
+
+impl FromJson for IcapStatus {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        Ok(IcapStatus {
+            words_consumed: v.field("words_consumed")?,
+            frames_written: v.field("frames_written")?,
+            stream_crc_ok: v.field("stream_crc_ok")?,
+            done: v.field("done")?,
+            done_time: v.field("done_time")?,
+            parse_error: match v.get("parse_error") {
+                Some(e) => parse_error_from_json(e)?,
+                None => None,
+            },
+            idcode_mismatch: v.field("idcode_mismatch")?,
+            corrupted_words: v.field("corrupted_words")?,
+        })
+    }
 }
 
 impl Component for IcapController {
@@ -331,37 +368,7 @@ impl Component for IcapController {
                 "parser".to_string(),
                 parser_snapshot_to_json(&self.parser.snapshot_parts()),
             ),
-            (
-                "status".to_string(),
-                Json::Obj(vec![
-                    (
-                        "words_consumed".to_string(),
-                        self.status.words_consumed.to_json(),
-                    ),
-                    (
-                        "frames_written".to_string(),
-                        self.status.frames_written.to_json(),
-                    ),
-                    (
-                        "stream_crc_ok".to_string(),
-                        self.status.stream_crc_ok.to_json(),
-                    ),
-                    ("done".to_string(), self.status.done.to_json()),
-                    ("done_time".to_string(), self.status.done_time.to_json()),
-                    (
-                        "parse_error".to_string(),
-                        parse_error_to_json(&self.status.parse_error),
-                    ),
-                    (
-                        "idcode_mismatch".to_string(),
-                        self.status.idcode_mismatch.to_json(),
-                    ),
-                    (
-                        "corrupted_words".to_string(),
-                        self.status.corrupted_words.to_json(),
-                    ),
-                ]),
-            ),
+            ("status".to_string(), self.status.to_json()),
             (
                 "word_error_rate".to_string(),
                 self.word_error_rate.to_json(),
@@ -370,7 +377,7 @@ impl Component for IcapController {
                 "expected_idcode".to_string(),
                 self.expected_idcode.to_json(),
             ),
-            ("rng".to_string(), self.rng.state().to_vec().to_json()),
+            ("rng".to_string(), self.rng.to_json()),
             (
                 "burst_far".to_string(),
                 self.burst_far.map(|f| f.as_word()).to_json(),
@@ -384,44 +391,28 @@ impl Component for IcapController {
     }
 
     fn restore_state(&mut self, state: &Json) -> Result<(), JsonError> {
-        let g = |key: &str| state.get(key).unwrap_or(&Json::Null);
-        self.irq_functional = bool::from_json(g("irq_functional"))?;
-        self.drop_next_done = bool::from_json(g("drop_next_done"))?;
-        let parts = parser_snapshot_from_json(g("parser"))?;
+        self.irq_functional = state.field("irq_functional")?;
+        self.drop_next_done = state.field("drop_next_done")?;
+        let parts = parser_snapshot_from_json(state.required("parser")?)?;
         self.parser
             .restore_parts(&parts)
             .map_err(|msg| JsonError { msg })?;
-        let sv = g("status");
-        let sg = |key: &str| sv.get(key).unwrap_or(&Json::Null);
-        self.status = IcapStatus {
-            words_consumed: u64::from_json(sg("words_consumed"))?,
-            frames_written: u64::from_json(sg("frames_written"))?,
-            stream_crc_ok: Option::<bool>::from_json(sg("stream_crc_ok"))?,
-            done: bool::from_json(sg("done"))?,
-            done_time: Option::<SimTime>::from_json(sg("done_time"))?,
-            parse_error: parse_error_from_json(sg("parse_error"))?,
-            idcode_mismatch: bool::from_json(sg("idcode_mismatch"))?,
-            corrupted_words: u64::from_json(sg("corrupted_words"))?,
-        };
-        self.word_error_rate = f64::from_json(g("word_error_rate"))?;
-        self.expected_idcode = Option::<u32>::from_json(g("expected_idcode"))?;
-        let rng_state = Vec::<u64>::from_json(g("rng"))?;
-        let rng_state: [u64; 4] = rng_state.try_into().map_err(|_| JsonError {
-            msg: "icap rng state must be four words".to_string(),
-        })?;
-        self.rng = Xoshiro256StarStar::from_state(rng_state);
-        self.burst_far = match Option::<u32>::from_json(g("burst_far"))? {
-            None => None,
-            Some(w) => {
-                Some(
-                    pdr_bitstream::FrameAddress::from_word(w).ok_or_else(|| JsonError {
-                        msg: format!("invalid FAR word {w:#010X}"),
-                    })?,
-                )
-            }
-        };
-        self.done_irq.restore_json(g("done_irq"))?;
-        self.stream_in.fifo().restore_json(g("stream_in"))
+        self.status = state.field("status")?;
+        self.word_error_rate = state.field("word_error_rate")?;
+        self.expected_idcode = state.field("expected_idcode")?;
+        self.rng = state.field("rng")?;
+        self.burst_far = state
+            .field::<Option<u32>>("burst_far")?
+            .map(|w| {
+                FrameAddress::from_word(w).ok_or_else(|| JsonError {
+                    msg: format!("invalid FAR word {w:#010X}"),
+                })
+            })
+            .transpose()?;
+        self.done_irq.restore_json(state.required("done_irq")?)?;
+        self.stream_in
+            .fifo()
+            .restore_json(state.required("stream_in")?)
     }
 }
 

@@ -2,14 +2,21 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::fmt::Write as _;
 use std::rc::Rc;
 
-use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
+use pdr_sim_core::impl_json_struct;
+use pdr_sim_core::json::{from_hex, to_hex, Json, JsonError, ToJson};
 
 /// Page granule for sparse checkpoint serialisation. Backings are large
 /// (16 MB DRAM) but mostly zero; only pages with set bits are recorded.
 const SNAP_PAGE: usize = 4096;
+
+/// One non-zero page of a checkpoint, hex-encoded.
+struct Page {
+    page: usize,
+    hex: String,
+}
+impl_json_struct!(Page { page, hex });
 
 #[derive(Debug)]
 struct Inner {
@@ -116,20 +123,16 @@ impl Backing {
         let mut pages = Vec::new();
         for (idx, chunk) in inner.bytes.chunks(SNAP_PAGE).enumerate() {
             if chunk.iter().any(|&b| b != 0) {
-                let mut hex = String::with_capacity(chunk.len() * 2);
-                for b in chunk {
-                    write!(hex, "{b:02x}").expect("writing to String cannot fail");
-                }
-                pages.push(Json::Obj(vec![
-                    ("page".to_string(), (idx as u64).to_json()),
-                    ("hex".to_string(), Json::Str(hex)),
-                ]));
+                pages.push(Page {
+                    page: idx,
+                    hex: to_hex(chunk.iter().copied()),
+                });
             }
         }
         Json::Obj(vec![
             ("len".to_string(), inner.bytes.len().to_json()),
             ("oob_accesses".to_string(), inner.oob_accesses.to_json()),
-            ("pages".to_string(), Json::Arr(pages)),
+            ("pages".to_string(), pages.to_json()),
         ])
     }
 
@@ -137,12 +140,9 @@ impl Backing {
     /// of the same capacity, zeroing everything first.
     pub fn restore_json(&self, v: &Json) -> Result<(), JsonError> {
         let err = |msg: String| JsonError { msg };
-        let len = usize::from_json(v.get("len").unwrap_or(&Json::Null))?;
-        let oob = u64::from_json(v.get("oob_accesses").unwrap_or(&Json::Null))?;
-        let pages = v
-            .get("pages")
-            .and_then(Json::as_array)
-            .ok_or_else(|| err("backing snapshot missing pages".to_string()))?;
+        let len: usize = v.field("len")?;
+        let oob = v.field("oob_accesses")?;
+        let pages: Vec<Page> = v.field("pages")?;
         let mut inner = self.inner.borrow_mut();
         if len != inner.bytes.len() {
             return Err(err(format!(
@@ -151,21 +151,13 @@ impl Backing {
             )));
         }
         inner.bytes.fill(0);
-        for page in pages {
-            let idx = usize::from_json(page.get("page").unwrap_or(&Json::Null))?;
-            let hex = page
-                .get("hex")
-                .and_then(Json::as_str)
-                .ok_or_else(|| err("backing page missing hex".to_string()))?;
-            let start = idx * SNAP_PAGE;
-            if hex.len() % 2 != 0 || start + hex.len() / 2 > inner.bytes.len() {
-                return Err(err(format!("backing page {idx} out of range")));
-            }
-            for (i, pair) in hex.as_bytes().chunks(2).enumerate() {
-                let s = core::str::from_utf8(pair).map_err(|_| err("bad hex".to_string()))?;
-                inner.bytes[start + i] =
-                    u8::from_str_radix(s, 16).map_err(|_| err(format!("bad hex byte '{s}'")))?;
-            }
+        for Page { page, hex } in pages {
+            let bytes = from_hex(&hex)?;
+            let dst = page
+                .checked_mul(SNAP_PAGE)
+                .and_then(|start| inner.bytes.get_mut(start..start.checked_add(bytes.len())?))
+                .ok_or_else(|| err(format!("backing page {page} out of range")))?;
+            dst.copy_from_slice(&bytes);
         }
         inner.oob_accesses = oob;
         Ok(())

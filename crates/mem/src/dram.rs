@@ -10,8 +10,8 @@
 //! ("Memory Port → AXI Interconnect → AXI DMA", Sec. VI).
 
 use pdr_axi::interconnect::SlaveEndpoints;
-use pdr_axi::mm::{ReadBeat, ReadReq};
-use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
+use pdr_axi::mm::ReadBeat;
+use pdr_sim_core::json::{Json, JsonError, ToJson};
 use pdr_sim_core::{impl_json_struct, Component, EdgeCtx, NextWake};
 
 use crate::backing::Backing;
@@ -293,22 +293,16 @@ impl Component for DramController {
     }
 
     fn restore_state(&mut self, state: &Json) -> Result<(), JsonError> {
-        let sv = state.get("state").unwrap_or(&Json::Null);
-        let kind = sv
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| JsonError {
-                msg: "dram snapshot missing burst state".to_string(),
-            })?;
-        self.state = match kind {
+        let sv = state.required("state")?;
+        self.state = match sv.field::<String>("kind")?.as_str() {
             "idle" => BurstState::Idle,
             "opening" => BurstState::Opening {
-                req: ReadReq::from_json(sv.get("req").unwrap_or(&Json::Null))?,
-                remaining: u32::from_json(sv.get("remaining").unwrap_or(&Json::Null))?,
+                req: sv.field("req")?,
+                remaining: sv.field("remaining")?,
             },
             "serving" => BurstState::Serving {
-                req: ReadReq::from_json(sv.get("req").unwrap_or(&Json::Null))?,
-                sent: u16::from_json(sv.get("sent").unwrap_or(&Json::Null))?,
+                req: sv.field("req")?,
+                sent: sv.field("sent")?,
             },
             other => {
                 return Err(JsonError {
@@ -316,8 +310,7 @@ impl Component for DramController {
                 })
             }
         };
-        let open_rows =
-            Vec::<Option<u64>>::from_json(state.get("open_rows").unwrap_or(&Json::Null))?;
+        let open_rows: Vec<Option<u64>> = state.field("open_rows")?;
         if open_rows.len() != self.open_rows.len() {
             return Err(JsonError {
                 msg: format!(
@@ -328,14 +321,14 @@ impl Component for DramController {
             });
         }
         self.open_rows = open_rows;
-        self.refresh_in = u32::from_json(state.get("refresh_in").unwrap_or(&Json::Null))?;
-        self.refreshing = u32::from_json(state.get("refreshing").unwrap_or(&Json::Null))?;
-        self.last_cycle = u64::from_json(state.get("last_cycle").unwrap_or(&Json::Null))?;
-        self.stats = DramStats::from_json(state.get("stats").unwrap_or(&Json::Null))?;
+        self.refresh_in = state.field("refresh_in")?;
+        self.refreshing = state.field("refreshing")?;
+        self.last_cycle = state.field("last_cycle")?;
+        self.stats = state.field("stats")?;
         self.ports
             .req
             .fifo()
-            .restore_json(state.get("req_in").unwrap_or(&Json::Null))
+            .restore_json(state.required("req_in")?)
     }
 }
 

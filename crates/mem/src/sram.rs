@@ -17,7 +17,7 @@
 //! PS Scheduler exploits.
 
 use pdr_axi::width::Word32;
-use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
+use pdr_sim_core::json::{Json, JsonError, ToJson};
 use pdr_sim_core::{
     fifo_channel, impl_json_struct, Component, Consumer, EdgeCtx, Frequency, NextWake, Producer,
     SimDuration,
@@ -91,10 +91,18 @@ pub struct QdrSram {
     backing: Backing,
     cmd_in: Consumer<SramReadCmd>,
     data_out: Producer<Word32>,
-    /// Remaining words of the in-flight command and its cursor.
-    current: Option<(u64, u32)>,
+    /// The in-flight command.
+    current: Option<Cursor>,
     stats: SramStats,
 }
+
+/// Cursor of an in-flight read: next byte address and words left.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    addr: u64,
+    remaining: u32,
+}
+impl_json_struct!(Cursor { addr, remaining });
 
 /// Endpoints for the SRAM's user (the PR controller).
 #[derive(Debug)]
@@ -168,7 +176,10 @@ impl Component for QdrSram {
             if let Some(cmd) = self.cmd_in.pop() {
                 self.stats.commands += 1;
                 if cmd.words > 0 {
-                    self.current = Some((cmd.addr, cmd.words));
+                    self.current = Some(Cursor {
+                        addr: cmd.addr,
+                        remaining: cmd.words,
+                    });
                 }
                 // Command decode consumes this cycle (the 0.45 ns access
                 // falls inside the first data cycle).
@@ -180,7 +191,7 @@ impl Component for QdrSram {
             self.stats.output_stalls += 1;
             return;
         }
-        let (addr, remaining) = self.current.expect("checked above");
+        let Cursor { addr, remaining } = self.current.expect("checked above");
         let word = self.backing.read_u32(addr);
         let last = remaining == 1;
         self.data_out
@@ -190,7 +201,10 @@ impl Component for QdrSram {
         self.current = if last {
             None
         } else {
-            Some((addr + 4, remaining - 1))
+            Some(Cursor {
+                addr: addr + 4,
+                remaining: remaining - 1,
+            })
         };
     }
 
@@ -207,15 +221,8 @@ impl Component for QdrSram {
     fn snapshot_state(&self) -> Json {
         // The SRAM owns its backing (created in `new`), so it serialises the
         // contents itself, unlike DRAM whose backing is shared system state.
-        let current = match self.current {
-            None => Json::Null,
-            Some((addr, remaining)) => Json::Obj(vec![
-                ("addr".to_string(), addr.to_json()),
-                ("remaining".to_string(), remaining.to_json()),
-            ]),
-        };
         Json::Obj(vec![
-            ("current".to_string(), current),
+            ("current".to_string(), self.current.to_json()),
             ("stats".to_string(), self.stats.to_json()),
             ("backing".to_string(), self.backing.snapshot_json()),
             ("cmd_in".to_string(), self.cmd_in.fifo().snapshot_json()),
@@ -223,19 +230,10 @@ impl Component for QdrSram {
     }
 
     fn restore_state(&mut self, state: &Json) -> Result<(), JsonError> {
-        self.current = match state.get("current") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some((
-                u64::from_json(v.get("addr").unwrap_or(&Json::Null))?,
-                u32::from_json(v.get("remaining").unwrap_or(&Json::Null))?,
-            )),
-        };
-        self.stats = SramStats::from_json(state.get("stats").unwrap_or(&Json::Null))?;
-        self.backing
-            .restore_json(state.get("backing").unwrap_or(&Json::Null))?;
-        self.cmd_in
-            .fifo()
-            .restore_json(state.get("cmd_in").unwrap_or(&Json::Null))
+        self.current = state.field("current")?;
+        self.stats = state.field("stats")?;
+        self.backing.restore_json(state.required("backing")?)?;
+        self.cmd_in.fifo().restore_json(state.required("cmd_in")?)
     }
 }
 

@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
+use pdr_sim_core::json::{Json, JsonError, ToJson};
 use pdr_sim_core::stats::OnlineStats;
 use pdr_sim_core::{
     impl_json_enum, impl_json_struct, Frequency, SimDuration, SimTime, Xoshiro256StarStar,
@@ -440,83 +440,24 @@ struct CampaignState {
     downtime_ps: u64,
     quarantined_at: Vec<Option<SimTime>>,
     rr: usize,
-    t0: SimTime,
-    scan: SimDuration,
+    t0_ps: SimTime,
+    scan_ps: SimDuration,
 }
 
-impl CampaignState {
-    fn to_json(&self) -> Json {
-        let quarantined: Vec<Json> = self
-            .quarantined_at
-            .iter()
-            .map(|q| match q {
-                None => Json::Null,
-                Some(t) => Json::U64(t.as_ps()),
-            })
-            .collect();
-        Json::Obj(vec![
-            ("idx".into(), Json::U64(self.idx as u64)),
-            ("detected".into(), Json::U64(self.detected)),
-            ("undetected".into(), Json::U64(self.undetected)),
-            ("benign".into(), Json::U64(self.benign)),
-            ("skipped".into(), Json::U64(self.skipped)),
-            ("recovered".into(), Json::U64(self.recovered)),
-            ("unrecovered".into(), Json::U64(self.unrecovered)),
-            ("downtime_ps".into(), Json::U64(self.downtime_ps)),
-            ("quarantined_at".into(), Json::Arr(quarantined)),
-            ("rr".into(), Json::U64(self.rr as u64)),
-            ("t0_ps".into(), Json::U64(self.t0.as_ps())),
-            ("scan_ps".into(), Json::U64(self.scan.as_ps())),
-        ])
-    }
-
-    fn from_json(v: &Json, partitions: usize) -> Result<CampaignState, JsonError> {
-        let u = |key: &str| -> Result<u64, JsonError> {
-            v.get(key).and_then(Json::as_u64).ok_or_else(|| JsonError {
-                msg: format!("campaign state missing u64 `{key}`"),
-            })
-        };
-        let quarantined_json = v
-            .get("quarantined_at")
-            .and_then(Json::as_array)
-            .ok_or_else(|| JsonError {
-                msg: "campaign state missing `quarantined_at`".into(),
-            })?;
-        if quarantined_json.len() != partitions {
-            return Err(JsonError {
-                msg: format!(
-                    "quarantined_at covers {} partitions, system has {partitions}",
-                    quarantined_json.len()
-                ),
-            });
-        }
-        let mut quarantined_at = Vec::with_capacity(partitions);
-        for q in quarantined_json {
-            quarantined_at.push(match q {
-                Json::Null => None,
-                other => Some(SimTime::from_ps(other.as_u64().ok_or_else(|| {
-                    JsonError {
-                        msg: "quarantined_at entry must be null or u64".into(),
-                    }
-                })?)),
-            });
-        }
-        Ok(CampaignState {
-            idx: u("idx")? as usize,
-            detected: u("detected")?,
-            undetected: u("undetected")?,
-            benign: u("benign")?,
-            skipped: u("skipped")?,
-            recovered: u("recovered")?,
-            unrecovered: u("unrecovered")?,
-            downtime_ps: u("downtime_ps")?,
-            quarantined_at,
-            rr: u("rr")? as usize,
-            t0: SimTime::from_ps(u("t0_ps")?),
-            scan: SimDuration::from_ps(u("scan_ps")?),
-        })
-    }
-}
+impl_json_struct!(CampaignState {
+    idx,
+    detected,
+    undetected,
+    benign,
+    skipped,
+    recovered,
+    unrecovered,
+    downtime_ps,
+    quarantined_at,
+    rr,
+    t0_ps,
+    scan_ps
+});
 
 /// Brings the system into service for a campaign: asserts the plan is in
 /// scope, configures every partition (initial content becomes the golden
@@ -556,8 +497,8 @@ fn init_campaign(
         downtime_ps: 0,
         quarantined_at: vec![None; sys.floorplan().partitions().len()],
         rr: 0,
-        t0: sys.now(),
-        scan: sys.monitor_scan_period(),
+        t0_ps: sys.now(),
+        scan_ps: sys.monitor_scan_period(),
     };
     (mgr, st)
 }
@@ -578,7 +519,7 @@ fn step_campaign(
     st.idx += 1;
     // Advance to the scheduled instant; events that fall behind the
     // handling of their predecessors run back-to-back.
-    let elapsed = sys.now().duration_since(st.t0).as_ps();
+    let elapsed = sys.now().duration_since(st.t0_ps).as_ps();
     if e.at_ps > elapsed {
         sys.run_monitor_for(SimDuration::from_ps(e.at_ps - elapsed));
     }
@@ -600,7 +541,7 @@ fn step_campaign(
                 return Some(rec);
             }
             sys.inject_seu(e.rp, e.frame, e.word, e.bit);
-            match sys.run_monitor_until_alarm(st.scan * 3) {
+            match sys.run_monitor_until_alarm(st.scan_ps * 3) {
                 Some(lat) => {
                     st.detected += 1;
                     rec.outcome = FaultOutcome::Detected;
@@ -694,7 +635,7 @@ fn finish_campaign(
     st: &CampaignState,
 ) -> FaultCampaignResult {
     let end = sys.now();
-    let duration = end.duration_since(st.t0);
+    let duration = end.duration_since(st.t0_ps);
     let mut silent_corruptions = 0u64;
     for &rp in &campaign.rps {
         if mgr.health(rp) == PartitionHealth::Quarantined {
@@ -935,17 +876,21 @@ impl CampaignRun {
         checkpoint: &Json,
     ) -> Result<CampaignRun, JsonError> {
         let payload = snapshot::open(checkpoint, "campaign")?;
-        let req = |key: &str| -> Result<&Json, JsonError> {
-            payload.get(key).ok_or_else(|| JsonError {
-                msg: format!("campaign checkpoint missing `{key}`"),
-            })
-        };
         let mut sys = ZynqPdrSystem::new(config);
-        sys.restore_json(req("system")?)?;
+        sys.restore_json(payload.required("system")?)?;
         let mut mgr = RecoveryManager::for_system(&sys, campaign.recovery);
-        mgr.restore_json(req("recovery")?)?;
-        let plan = FaultPlan::from_json(req("plan")?)?;
-        let st = CampaignState::from_json(req("state")?, sys.floorplan().partitions().len())?;
+        mgr.restore_json(payload.required("recovery")?)?;
+        let plan: FaultPlan = payload.field("plan")?;
+        let st: CampaignState = payload.field("state")?;
+        let partitions = sys.floorplan().partitions().len();
+        if st.quarantined_at.len() != partitions {
+            return Err(JsonError {
+                msg: format!(
+                    "quarantined_at covers {} partitions, system has {partitions}",
+                    st.quarantined_at.len()
+                ),
+            });
+        }
         if st.idx > plan.events.len() {
             return Err(JsonError {
                 msg: format!(

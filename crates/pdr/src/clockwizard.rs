@@ -79,14 +79,15 @@ impl ClockWizard {
     /// for checkpoint restore, where the engine's domain state (including
     /// the exact phase origin) is restored separately and must not be
     /// disturbed by a re-lock.
-    pub(crate) fn restore_frequency(&mut self, freq: Frequency) {
-        assert!(
-            (self.min..=self.max).contains(&freq),
-            "restored frequency {freq} outside wizard range {}..={}",
-            self.min,
-            self.max
-        );
+    pub(crate) fn restore_frequency(&mut self, freq: Frequency) -> Result<(), String> {
+        if !(self.min..=self.max).contains(&freq) {
+            return Err(format!(
+                "restored frequency {freq} outside wizard range {}..={}",
+                self.min, self.max
+            ));
+        }
         self.current = freq;
+        Ok(())
     }
 }
 

@@ -14,7 +14,7 @@
 //! would see a half-written region).
 
 use pdr_icap::SharedConfigMemory;
-use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
+use pdr_sim_core::json::{Json, JsonError, ToJson};
 use pdr_sim_core::{impl_json_struct, Component, EdgeCtx, IrqLine, NextWake};
 
 use pdr_bitstream::Crc32;
@@ -241,16 +241,10 @@ impl Component for CrcReadback {
         // The block owns the crc-error interrupt line (it is the raiser) and
         // its own scan engine; config memory is shared system state.
         Json::Obj(vec![
-            (
-                "regions".to_string(),
-                Json::Arr(self.regions.iter().map(|r| r.to_json()).collect()),
-            ),
-            (
-                "results".to_string(),
-                Json::Arr(self.results.iter().map(|r| r.to_json()).collect()),
-            ),
+            ("regions".to_string(), self.regions.to_json()),
+            ("results".to_string(), self.results.to_json()),
             ("enabled".to_string(), self.enabled.to_json()),
-            ("cursor_region".to_string(), Json::U64(self.cursor.0 as u64)),
+            ("cursor_region".to_string(), self.cursor.0.to_json()),
             ("cursor_frame".to_string(), self.cursor.1.to_json()),
             (
                 "frame_countdown".to_string(),
@@ -264,31 +258,14 @@ impl Component for CrcReadback {
     }
 
     fn restore_state(&mut self, state: &Json) -> Result<(), JsonError> {
-        let regions = state
-            .get("regions")
-            .and_then(Json::as_array)
-            .ok_or_else(|| JsonError {
-                msg: "crc-readback snapshot missing `regions`".to_string(),
-            })?
-            .iter()
-            .map(Region::from_json)
-            .collect::<Result<Vec<Region>, JsonError>>()?;
-        let results = state
-            .get("results")
-            .and_then(Json::as_array)
-            .ok_or_else(|| JsonError {
-                msg: "crc-readback snapshot missing `results`".to_string(),
-            })?
-            .iter()
-            .map(RegionResult::from_json)
-            .collect::<Result<Vec<RegionResult>, JsonError>>()?;
+        let regions: Vec<Region> = state.field("regions")?;
+        let results: Vec<RegionResult> = state.field("results")?;
         if regions.len() != results.len() {
             return Err(JsonError {
                 msg: "crc-readback snapshot region/result length mismatch".to_string(),
             });
         }
-        let cursor_region =
-            u64::from_json(state.get("cursor_region").unwrap_or(&Json::Null))? as usize;
+        let cursor_region: usize = state.field("cursor_region")?;
         if cursor_region != 0 && cursor_region >= regions.len() {
             return Err(JsonError {
                 msg: "crc-readback snapshot cursor out of range".to_string(),
@@ -296,18 +273,13 @@ impl Component for CrcReadback {
         }
         self.regions = regions;
         self.results = results;
-        self.enabled = bool::from_json(state.get("enabled").unwrap_or(&Json::Null))?;
-        self.cursor = (
-            cursor_region,
-            u32::from_json(state.get("cursor_frame").unwrap_or(&Json::Null))?,
-        );
-        self.frame_countdown = u32::from_json(state.get("frame_countdown").unwrap_or(&Json::Null))?;
-        self.crc
-            .set_raw_state(u32::from_json(state.get("crc").unwrap_or(&Json::Null))?);
-        self.frames_read = u64::from_json(state.get("frames_read").unwrap_or(&Json::Null))?;
-        self.last_cycle = u64::from_json(state.get("last_cycle").unwrap_or(&Json::Null))?;
-        self.err_irq
-            .restore_json(state.get("err_irq").unwrap_or(&Json::Null))
+        self.enabled = state.field("enabled")?;
+        self.cursor = (cursor_region, state.field("cursor_frame")?);
+        self.frame_countdown = state.field("frame_countdown")?;
+        self.crc.set_raw_state(state.field("crc")?);
+        self.frames_read = state.field("frames_read")?;
+        self.last_cycle = state.field("last_cycle")?;
+        self.err_irq.restore_json(state.required("err_irq")?)
     }
 }
 

@@ -20,6 +20,7 @@
 //! `RecoveryManager` ladder semantics (consecutive scrub failures).
 
 use pdr_bitstream_codec::compress_bitstream;
+use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
 use pdr_sim_core::rng::Xoshiro256StarStar;
 use pdr_sim_core::Frequency;
 
@@ -149,6 +150,32 @@ pub struct CachedCopy {
     pub version: u32,
     /// Stored bytes charged against the cache budget.
     pub stored_bytes: u64,
+}
+
+/// Checkpoint encoding: `[entry, version, stored_bytes]`.
+impl ToJson for CachedCopy {
+    fn to_json(&self) -> Json {
+        Json::Arr(vec![
+            self.entry.to_json(),
+            self.version.to_json(),
+            self.stored_bytes.to_json(),
+        ])
+    }
+}
+
+impl FromJson for CachedCopy {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        match v.as_array() {
+            Some([entry, version, stored_bytes]) => Ok(CachedCopy {
+                entry: u32::from_json(entry)?,
+                version: u32::from_json(version)?,
+                stored_bytes: u64::from_json(stored_bytes)?,
+            }),
+            _ => Err(JsonError {
+                msg: "expected a cached copy [entry, version, stored_bytes]".into(),
+            }),
+        }
+    }
 }
 
 /// What one dispatch did — folded into the shard delta by the caller.

@@ -43,7 +43,7 @@ pub use board::{Board, CachedCopy, Calibration, DispatchOutcome, FleetCatalogEnt
 pub use ring::{mix64, PlacementRing};
 pub use traffic::{Arrival, TrafficConfig, TrafficModel, ZipfSampler};
 
-use pdr_sim_core::json::{Json, JsonError, ToJson};
+use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
 use pdr_sim_core::rng::Xoshiro256StarStar;
 use pdr_sim_core::stats::{BoundedQuantiles, OnlineStats};
 use pdr_sim_core::{impl_json_struct, SimDuration};
@@ -271,9 +271,9 @@ impl_json_struct!(FleetReport {
     throughput_rps,
 });
 
-/// Cumulative campaign counters + bounded-memory latency accumulators.
-#[derive(Debug, Clone, PartialEq)]
-struct FleetStats {
+/// Cumulative campaign event counters, checkpointed key for key.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct FleetCounters {
     submitted: u64,
     completed: u64,
     failed: u64,
@@ -290,6 +290,52 @@ struct FleetStats {
     cache_hits: u64,
     cache_misses: u64,
     cache_evictions: u64,
+}
+
+impl_json_struct!(FleetCounters {
+    submitted,
+    completed,
+    failed,
+    rejected,
+    rerouted,
+    stolen,
+    crc_failures,
+    scrubs,
+    scrub_failures,
+    boards_quarantined,
+    replicated_entries,
+    invalidations,
+    invalidated_copies,
+    cache_hits,
+    cache_misses,
+    cache_evictions
+});
+
+impl FleetCounters {
+    fn add(&mut self, d: &FleetCounters) {
+        self.submitted += d.submitted;
+        self.completed += d.completed;
+        self.failed += d.failed;
+        self.rejected += d.rejected;
+        self.rerouted += d.rerouted;
+        self.stolen += d.stolen;
+        self.crc_failures += d.crc_failures;
+        self.scrubs += d.scrubs;
+        self.scrub_failures += d.scrub_failures;
+        self.boards_quarantined += d.boards_quarantined;
+        self.replicated_entries += d.replicated_entries;
+        self.invalidations += d.invalidations;
+        self.invalidated_copies += d.invalidated_copies;
+        self.cache_hits += d.cache_hits;
+        self.cache_misses += d.cache_misses;
+        self.cache_evictions += d.cache_evictions;
+    }
+}
+
+/// Campaign counters + bounded-memory latency accumulators.
+#[derive(Debug, Clone, PartialEq)]
+struct FleetStats {
+    counters: FleetCounters,
     latency: OnlineStats,
     queue_wait: OnlineStats,
     sketch: BoundedQuantiles,
@@ -299,47 +345,134 @@ struct FleetStats {
 impl FleetStats {
     fn new() -> Self {
         FleetStats {
-            submitted: 0,
-            completed: 0,
-            failed: 0,
-            rejected: 0,
-            rerouted: 0,
-            stolen: 0,
-            crc_failures: 0,
-            scrubs: 0,
-            scrub_failures: 0,
-            boards_quarantined: 0,
-            replicated_entries: 0,
-            invalidations: 0,
-            invalidated_copies: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_evictions: 0,
+            counters: FleetCounters::default(),
             latency: OnlineStats::new(),
             queue_wait: OnlineStats::new(),
             sketch: BoundedQuantiles::new(QUANTILE_LIMIT),
             max_completion_ps: 0,
         }
     }
+
+    fn merge(&mut self, d: &FleetStats) {
+        self.counters.add(&d.counters);
+        self.latency.merge(&d.latency);
+        self.queue_wait.merge(&d.queue_wait);
+        self.sketch.merge(&d.sketch);
+        self.max_completion_ps = self.max_completion_ps.max(d.max_completion_ps);
+    }
+}
+
+/// Checkpoint encoding: the counters' keys, then the accumulators.
+impl ToJson for FleetStats {
+    fn to_json(&self) -> Json {
+        let Json::Obj(mut fields) = self.counters.to_json() else {
+            unreachable!("a struct encodes as an object")
+        };
+        fields.extend([
+            ("latency".to_string(), welford_to_json(&self.latency)),
+            ("queue_wait".to_string(), welford_to_json(&self.queue_wait)),
+            (
+                "sketch".to_string(),
+                SketchState::of(&self.sketch).to_json(),
+            ),
+            (
+                "max_completion_ps".to_string(),
+                self.max_completion_ps.to_json(),
+            ),
+        ]);
+        Json::Obj(fields)
+    }
+}
+
+impl FromJson for FleetStats {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        Ok(FleetStats {
+            counters: FleetCounters::from_json(v)?,
+            latency: welford_from_json(v.required("latency")?)?,
+            queue_wait: welford_from_json(v.required("queue_wait")?)?,
+            sketch: v.field::<SketchState>("sketch")?.restore()?,
+            max_completion_ps: v.field("max_completion_ps")?,
+        })
+    }
+}
+
+/// The fleet's [`OnlineStats`] layout, `[n, mean, m2, min, max]` with the
+/// mean and M2 as `f64` bit patterns (recovery checkpoints use the type's
+/// own object layout).
+fn welford_to_json(s: &OnlineStats) -> Json {
+    let (n, mean, m2, min, max) = s.raw_parts();
+    Json::Arr(vec![
+        n.to_json(),
+        mean.to_bits().to_json(),
+        m2.to_bits().to_json(),
+        min.to_json(),
+        max.to_json(),
+    ])
+}
+
+fn welford_from_json(v: &Json) -> Result<OnlineStats, JsonError> {
+    match v.as_array() {
+        Some([n, mean, m2, min, max]) => Ok(OnlineStats::from_raw_parts(
+            u64::from_json(n)?,
+            f64::from_bits(u64::from_json(mean)?),
+            f64::from_bits(u64::from_json(m2)?),
+            Option::from_json(min)?,
+            Option::from_json(max)?,
+        )),
+        _ => Err(JsonError {
+            msg: "expected online stats [n, mean, m2, min, max]".into(),
+        }),
+    }
+}
+
+/// The latency sketch in a checkpoint: exact samples as `f64` bit
+/// patterns, spilled bins as `[index, count]` pairs.
+struct SketchState {
+    count: u64,
+    min: Option<f64>,
+    max: Option<f64>,
+    exact: Vec<u64>,
+    bins: Vec<[u64; 2]>,
+}
+
+impl_json_struct!(SketchState {
+    count,
+    min,
+    max,
+    exact,
+    bins
+});
+
+impl SketchState {
+    fn of(sketch: &BoundedQuantiles) -> SketchState {
+        let (count, min, max, exact, bins) = sketch.raw_parts();
+        SketchState {
+            count,
+            min,
+            max,
+            exact: exact.iter().map(|x| x.to_bits()).collect(),
+            bins: bins.iter().map(|&(i, c)| [i, c]).collect(),
+        }
+    }
+
+    fn restore(self) -> Result<BoundedQuantiles, JsonError> {
+        BoundedQuantiles::from_raw_parts(
+            QUANTILE_LIMIT,
+            self.count,
+            self.min,
+            self.max,
+            self.exact.into_iter().map(f64::from_bits).collect(),
+            self.bins.into_iter().map(|[i, c]| (i, c)).collect(),
+        )
+        .ok_or_else(|| JsonError {
+            msg: "sketch bin out of range or overflowing".into(),
+        })
+    }
 }
 
 /// One shard's epoch outcome, merged in shard order at the barrier.
 struct ShardDelta {
-    completed: u64,
-    failed: u64,
-    rejected: u64,
-    rerouted: u64,
-    stolen: u64,
-    crc_failures: u64,
-    scrubs: u64,
-    scrub_failures: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_evictions: u64,
-    latency: OnlineStats,
-    queue_wait: OnlineStats,
-    sketch: BoundedQuantiles,
-    max_completion_ps: u64,
+    stats: FleetStats,
     /// Boards newly quarantined this epoch, with their resident cache at
     /// the moment of quarantine (for re-replication).
     quarantines: Vec<(u32, Vec<CachedCopy>)>,
@@ -356,21 +489,7 @@ fn process_shard(
     cfg: &FleetConfig,
 ) -> ShardDelta {
     let mut d = ShardDelta {
-        completed: 0,
-        failed: 0,
-        rejected: 0,
-        rerouted: 0,
-        stolen: 0,
-        crc_failures: 0,
-        scrubs: 0,
-        scrub_failures: 0,
-        cache_hits: 0,
-        cache_misses: 0,
-        cache_evictions: 0,
-        latency: OnlineStats::new(),
-        queue_wait: OnlineStats::new(),
-        sketch: BoundedQuantiles::new(QUANTILE_LIMIT),
-        max_completion_ps: 0,
+        stats: FleetStats::new(),
         quarantines: Vec::new(),
     };
     for &(arr, board_id) in arrivals {
@@ -397,10 +516,10 @@ fn process_shard(
             match least_loaded(boards, None) {
                 Some((j, _)) => {
                     bi = j;
-                    d.rerouted += 1;
+                    d.stats.counters.rerouted += 1;
                 }
                 None => {
-                    d.rejected += 1;
+                    d.stats.counters.rejected += 1;
                     continue;
                 }
             }
@@ -410,13 +529,13 @@ fn process_shard(
                 if let Some((j, depth)) = least_loaded(boards, Some(bi)) {
                     if depth + 1 < backlog {
                         bi = j;
-                        d.stolen += 1;
+                        d.stats.counters.stolen += 1;
                     }
                 }
             }
         }
         if boards[bi].prune(arr.at_ps) >= cfg.queue_capacity as usize {
-            d.rejected += 1;
+            d.stats.counters.rejected += 1;
             continue;
         }
         let entry = &catalog[arr.entry as usize];
@@ -429,28 +548,30 @@ fn process_shard(
             cfg.cache_capacity_bytes,
         );
         if out.hit {
-            d.cache_hits += 1;
+            d.stats.counters.cache_hits += 1;
         } else {
-            d.cache_misses += 1;
+            d.stats.counters.cache_misses += 1;
         }
-        d.cache_evictions += u64::from(out.evictions);
+        d.stats.counters.cache_evictions += u64::from(out.evictions);
         if out.crc_failed {
-            d.crc_failures += 1;
+            d.stats.counters.crc_failures += 1;
         }
         if out.scrubbed {
-            d.scrubs += 1;
+            d.stats.counters.scrubs += 1;
         }
         if out.scrub_failed {
-            d.scrub_failures += 1;
-            d.failed += 1;
+            d.stats.counters.scrub_failures += 1;
+            d.stats.counters.failed += 1;
         } else {
-            d.completed += 1;
+            d.stats.counters.completed += 1;
             let sojourn_us = (out.completion_ps - arr.at_ps) as f64 / 1e6;
-            d.latency.push(sojourn_us);
-            d.sketch.push(sojourn_us);
-            d.queue_wait.push((out.start_ps - arr.at_ps) as f64 / 1e6);
+            d.stats.latency.push(sojourn_us);
+            d.stats.sketch.push(sojourn_us);
+            d.stats
+                .queue_wait
+                .push((out.start_ps - arr.at_ps) as f64 / 1e6);
         }
-        d.max_completion_ps = d.max_completion_ps.max(out.completion_ps);
+        d.stats.max_completion_ps = d.stats.max_completion_ps.max(out.completion_ps);
         if boards[bi].scrub_strikes >= cfg.quarantine_strikes && !boards[bi].quarantined {
             boards[bi].quarantined = true;
             d.quarantines
@@ -628,9 +749,9 @@ impl FleetRun {
         let per = self.config.boards_per_shard();
         let mut buckets: Vec<Vec<(Arrival, u32)>> = (0..shard_count).map(|_| Vec::new()).collect();
         for a in arrivals {
-            self.stats.submitted += 1;
+            self.stats.counters.submitted += 1;
             match self.ring.lookup(a.key) {
-                None => self.stats.rejected += 1,
+                None => self.stats.counters.rejected += 1,
                 Some(b) => buckets[(b / per) as usize].push((a, b)),
             }
         }
@@ -658,21 +779,7 @@ impl FleetRun {
         let mut quarantines: Vec<(u32, Vec<CachedCopy>)> = Vec::new();
         for (s, (boards, d)) in results.into_iter().enumerate() {
             self.shards[s] = boards;
-            self.stats.completed += d.completed;
-            self.stats.failed += d.failed;
-            self.stats.rejected += d.rejected;
-            self.stats.rerouted += d.rerouted;
-            self.stats.stolen += d.stolen;
-            self.stats.crc_failures += d.crc_failures;
-            self.stats.scrubs += d.scrubs;
-            self.stats.scrub_failures += d.scrub_failures;
-            self.stats.cache_hits += d.cache_hits;
-            self.stats.cache_misses += d.cache_misses;
-            self.stats.cache_evictions += d.cache_evictions;
-            self.stats.latency.merge(&d.latency);
-            self.stats.queue_wait.merge(&d.queue_wait);
-            self.stats.sketch.merge(&d.sketch);
-            self.stats.max_completion_ps = self.stats.max_completion_ps.max(d.max_completion_ps);
+            self.stats.merge(&d.stats);
             quarantines.extend(d.quarantines);
         }
 
@@ -680,7 +787,7 @@ impl FleetRun {
         // the drained boards' resident entries to their ring homes.
         for &(board_id, _) in &quarantines {
             if self.ring.drain(board_id) {
-                self.stats.boards_quarantined += 1;
+                self.stats.counters.boards_quarantined += 1;
             }
         }
         if self.config.replicate_on_quarantine {
@@ -698,9 +805,9 @@ impl FleetRun {
                         let b = &mut self.shards[(home / per) as usize][(home % per) as usize];
                         let evicted = b.warm(fresh, budget);
                         if evicted > 0 {
-                            self.stats.cache_evictions += u64::from(evicted);
+                            self.stats.counters.cache_evictions += u64::from(evicted);
                         }
-                        self.stats.replicated_entries += 1;
+                        self.stats.counters.replicated_entries += 1;
                     }
                 }
             }
@@ -713,11 +820,11 @@ impl FleetRun {
             let victim =
                 (mix64(self.config.seed ^ (self.epoch_idx + 1)) % self.catalog.len() as u64) as u32;
             self.catalog[victim as usize].version += 1;
-            self.stats.invalidations += 1;
+            self.stats.counters.invalidations += 1;
             for shard in &mut self.shards {
                 for b in shard {
                     if b.invalidate(victim) {
-                        self.stats.invalidated_copies += 1;
+                        self.stats.counters.invalidated_copies += 1;
                     }
                 }
             }
@@ -746,37 +853,38 @@ impl FleetRun {
     /// The merged fleet report.
     pub fn report(&self) -> FleetReport {
         let st = &self.stats;
+        let c = &st.counters;
         let ratio = |num: u64, den: u64| (den > 0).then(|| num as f64 / den as f64);
         let makespan_us = st.max_completion_ps as f64 / 1e6;
         FleetReport {
             boards: u64::from(self.config.boards),
             shards: self.shards.len() as u64,
             epochs: self.epoch_idx,
-            submitted: st.submitted,
-            completed: st.completed,
-            failed: st.failed,
-            rejected: st.rejected,
-            rerouted: st.rerouted,
-            stolen: st.stolen,
-            crc_failures: st.crc_failures,
-            scrubs: st.scrubs,
-            scrub_failures: st.scrub_failures,
-            boards_quarantined: st.boards_quarantined,
-            replicated_entries: st.replicated_entries,
-            invalidations: st.invalidations,
-            invalidated_copies: st.invalidated_copies,
-            cache_hits: st.cache_hits,
-            cache_misses: st.cache_misses,
-            cache_evictions: st.cache_evictions,
-            cache_hit_rate: ratio(st.cache_hits, st.cache_hits + st.cache_misses),
-            availability: ratio(st.completed, st.submitted),
+            submitted: c.submitted,
+            completed: c.completed,
+            failed: c.failed,
+            rejected: c.rejected,
+            rerouted: c.rerouted,
+            stolen: c.stolen,
+            crc_failures: c.crc_failures,
+            scrubs: c.scrubs,
+            scrub_failures: c.scrub_failures,
+            boards_quarantined: c.boards_quarantined,
+            replicated_entries: c.replicated_entries,
+            invalidations: c.invalidations,
+            invalidated_copies: c.invalidated_copies,
+            cache_hits: c.cache_hits,
+            cache_misses: c.cache_misses,
+            cache_evictions: c.cache_evictions,
+            cache_hit_rate: ratio(c.cache_hits, c.cache_hits + c.cache_misses),
+            availability: ratio(c.completed, c.submitted),
             latency_us: StatsSummary::from(&st.latency),
             queue_wait_us: StatsSummary::from(&st.queue_wait),
             latency_p50_us: st.sketch.quantile(0.5),
             latency_p99_us: st.sketch.quantile(0.99),
             makespan_us,
             throughput_rps: (st.max_completion_ps > 0)
-                .then(|| st.completed as f64 / (st.max_completion_ps as f64 / 1e12)),
+                .then(|| c.completed as f64 / (st.max_completion_ps as f64 / 1e12)),
         }
     }
 
@@ -792,148 +900,33 @@ impl FleetRun {
     /// `"fleet"`. Pair with [`snapshot::save`] for atomic on-disk
     /// checkpoints.
     pub fn checkpoint(&self) -> Json {
-        let rng_json = |s: [u64; 4]| Json::Arr(s.iter().map(|&w| Json::U64(w)).collect());
-        let opt_f64 = |v: Option<f64>| v.map_or(Json::Null, Json::F64);
-        let (t_rng, t_bits, t_gen, t_pending) = self.traffic.raw_parts();
-        let traffic = Json::Obj(vec![
-            ("rng".into(), rng_json(t_rng)),
-            ("t_bits".into(), Json::U64(t_bits)),
-            ("generated".into(), Json::U64(t_gen)),
-            (
-                "pending".into(),
-                t_pending.map_or(Json::Null, |p| {
-                    Json::Arr(vec![
-                        Json::U64(p.at_ps),
-                        Json::U64(u64::from(p.tenant)),
-                        Json::U64(u64::from(p.entry)),
-                        Json::U64(p.key),
-                    ])
-                }),
-            ),
-        ]);
-        let versions = Json::Arr(
-            self.catalog
-                .iter()
-                .map(|e| Json::U64(u64::from(e.version)))
-                .collect(),
-        );
-        let st = &self.stats;
-        let (lat_n, lat_mean, lat_m2, lat_min, lat_max) = st.latency.raw_parts();
-        let (qw_n, qw_mean, qw_m2, qw_min, qw_max) = st.queue_wait.raw_parts();
-        let (sk_count, sk_min, sk_max, sk_exact, sk_bins) = st.sketch.raw_parts();
-        let stats = Json::Obj(vec![
-            ("submitted".into(), Json::U64(st.submitted)),
-            ("completed".into(), Json::U64(st.completed)),
-            ("failed".into(), Json::U64(st.failed)),
-            ("rejected".into(), Json::U64(st.rejected)),
-            ("rerouted".into(), Json::U64(st.rerouted)),
-            ("stolen".into(), Json::U64(st.stolen)),
-            ("crc_failures".into(), Json::U64(st.crc_failures)),
-            ("scrubs".into(), Json::U64(st.scrubs)),
-            ("scrub_failures".into(), Json::U64(st.scrub_failures)),
-            (
-                "boards_quarantined".into(),
-                Json::U64(st.boards_quarantined),
-            ),
-            (
-                "replicated_entries".into(),
-                Json::U64(st.replicated_entries),
-            ),
-            ("invalidations".into(), Json::U64(st.invalidations)),
-            (
-                "invalidated_copies".into(),
-                Json::U64(st.invalidated_copies),
-            ),
-            ("cache_hits".into(), Json::U64(st.cache_hits)),
-            ("cache_misses".into(), Json::U64(st.cache_misses)),
-            ("cache_evictions".into(), Json::U64(st.cache_evictions)),
-            (
-                "latency".into(),
-                Json::Arr(vec![
-                    Json::U64(lat_n),
-                    Json::U64(lat_mean.to_bits()),
-                    Json::U64(lat_m2.to_bits()),
-                    opt_f64(lat_min),
-                    opt_f64(lat_max),
-                ]),
-            ),
-            (
-                "queue_wait".into(),
-                Json::Arr(vec![
-                    Json::U64(qw_n),
-                    Json::U64(qw_mean.to_bits()),
-                    Json::U64(qw_m2.to_bits()),
-                    opt_f64(qw_min),
-                    opt_f64(qw_max),
-                ]),
-            ),
-            (
-                "sketch".into(),
+        let versions: Vec<u32> = self.catalog.iter().map(|e| e.version).collect();
+        let boards: Vec<Json> = self
+            .shards
+            .iter()
+            .flatten()
+            .map(|b| {
                 Json::Obj(vec![
-                    ("count".into(), Json::U64(sk_count)),
-                    ("min".into(), opt_f64(sk_min)),
-                    ("max".into(), opt_f64(sk_max)),
-                    (
-                        "exact".into(),
-                        Json::Arr(sk_exact.iter().map(|&x| Json::U64(x.to_bits())).collect()),
-                    ),
-                    (
-                        "bins".into(),
-                        Json::Arr(
-                            sk_bins
-                                .iter()
-                                .map(|&(i, c)| Json::Arr(vec![Json::U64(i), Json::U64(c)]))
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            ("max_completion_ps".into(), Json::U64(st.max_completion_ps)),
-        ]);
-        let boards = Json::Arr(
-            self.shards
-                .iter()
-                .flatten()
-                .map(|b| {
-                    Json::Obj(vec![
-                        ("id".into(), Json::U64(u64::from(b.id))),
-                        ("rng".into(), rng_json(b.rng.state())),
-                        ("busy".into(), Json::U64(b.busy_until_ps)),
-                        (
-                            "inflight".into(),
-                            Json::Arr(b.inflight.iter().map(|&c| Json::U64(c)).collect()),
-                        ),
-                        (
-                            "cache".into(),
-                            Json::Arr(
-                                b.cache
-                                    .iter()
-                                    .map(|c| {
-                                        Json::Arr(vec![
-                                            Json::U64(u64::from(c.entry)),
-                                            Json::U64(u64::from(c.version)),
-                                            Json::U64(c.stored_bytes),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                        ("strikes".into(), Json::U64(u64::from(b.scrub_strikes))),
-                        ("quarantined".into(), Json::Bool(b.quarantined)),
-                    ])
-                })
-                .collect(),
-        );
+                    ("id".into(), b.id.to_json()),
+                    ("rng".into(), b.rng.to_json()),
+                    ("busy".into(), b.busy_until_ps.to_json()),
+                    ("inflight".into(), b.inflight.to_json()),
+                    ("cache".into(), b.cache.to_json()),
+                    ("strikes".into(), b.scrub_strikes.to_json()),
+                    ("quarantined".into(), b.quarantined.to_json()),
+                ])
+            })
+            .collect();
         snapshot::envelope(
             "fleet",
             Json::Obj(vec![
                 ("config_digest".into(), Json::U64(self.config_digest)),
                 ("epoch".into(), Json::U64(self.epoch_idx)),
                 ("finished".into(), Json::Bool(self.finished)),
-                ("traffic".into(), traffic),
-                ("versions".into(), versions),
-                ("stats".into(), stats),
-                ("boards".into(), boards),
+                ("traffic".into(), self.traffic.snapshot_json()),
+                ("versions".into(), versions.to_json()),
+                ("stats".into(), self.stats.to_json()),
+                ("boards".into(), Json::Arr(boards)),
             ]),
         )
     }
@@ -946,28 +939,9 @@ impl FleetRun {
     pub fn resume(config: FleetConfig, json: &Json) -> Result<FleetRun, JsonError> {
         let payload = snapshot::open(json, "fleet")?;
         let err = |msg: &str| JsonError { msg: msg.into() };
-        let get_u64 = |obj: &Json, key: &str| {
-            obj.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| err(&format!("fleet checkpoint missing `{key}`")))
-        };
-        let rng_from = |v: &Json| -> Result<[u64; 4], JsonError> {
-            let arr = v
-                .as_array()
-                .ok_or_else(|| err("rng state must be an array"))?;
-            if arr.len() != 4 {
-                return Err(err("rng state must have 4 words"));
-            }
-            let mut s = [0u64; 4];
-            for (i, w) in arr.iter().enumerate() {
-                s[i] = w.as_u64().ok_or_else(|| err("rng word must be u64"))?;
-            }
-            Ok(s)
-        };
-        let opt_f64 = |v: Option<&Json>| -> Option<f64> { v.and_then(Json::as_f64) };
 
         let mut run = FleetRun::new(config);
-        let digest = get_u64(payload, "config_digest")?;
+        let digest: u64 = payload.field("config_digest")?;
         if digest != run.config_digest {
             return Err(err(&format!(
                 "fleet checkpoint config digest {digest:#x} does not match \
@@ -975,170 +949,46 @@ impl FleetRun {
                 run.config_digest
             )));
         }
-        run.epoch_idx = get_u64(payload, "epoch")?;
-        run.finished = payload
-            .get("finished")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| err("fleet checkpoint missing `finished`"))?;
+        run.epoch_idx = payload.field("epoch")?;
+        run.finished = payload.field("finished")?;
+        run.traffic.restore_json(payload.required("traffic")?)?;
 
-        // Traffic stream.
-        let t = payload
-            .get("traffic")
-            .ok_or_else(|| err("fleet checkpoint missing `traffic`"))?;
-        let pending = match t.get("pending") {
-            None | Some(Json::Null) => None,
-            Some(Json::Arr(a)) if a.len() == 4 => Some(Arrival {
-                at_ps: a[0].as_u64().ok_or_else(|| err("pending.at_ps"))?,
-                tenant: a[1].as_u64().ok_or_else(|| err("pending.tenant"))? as u32,
-                entry: a[2].as_u64().ok_or_else(|| err("pending.entry"))? as u32,
-                key: a[3].as_u64().ok_or_else(|| err("pending.key"))?,
-            }),
-            _ => return Err(err("malformed pending arrival")),
-        };
-        run.traffic = TrafficModel::from_raw_parts(
-            run.config.traffic.clone(),
-            run.config.tenants,
-            run.config.catalog_entries,
-            rng_from(t.get("rng").ok_or_else(|| err("traffic.rng"))?)?,
-            get_u64(t, "t_bits")?,
-            get_u64(t, "generated")?,
-            pending,
-        );
-
-        // Catalog versions.
-        let versions = payload
-            .get("versions")
-            .and_then(Json::as_array)
-            .ok_or_else(|| err("fleet checkpoint missing `versions`"))?;
+        let versions: Vec<u32> = payload.field("versions")?;
         if versions.len() != run.catalog.len() {
             return Err(err("catalog version count mismatch"));
         }
         for (e, v) in run.catalog.iter_mut().zip(versions) {
-            e.version = v.as_u64().ok_or_else(|| err("catalog version"))? as u32;
+            e.version = v;
         }
-
-        // Stats.
-        let st = payload
-            .get("stats")
-            .ok_or_else(|| err("fleet checkpoint missing `stats`"))?;
-        let online_from = |v: &Json| -> Result<OnlineStats, JsonError> {
-            let a = v
-                .as_array()
-                .ok_or_else(|| err("online stats must be an array"))?;
-            if a.len() != 5 {
-                return Err(err("online stats must have 5 fields"));
-            }
-            Ok(OnlineStats::from_raw_parts(
-                a[0].as_u64().ok_or_else(|| err("stats.n"))?,
-                f64::from_bits(a[1].as_u64().ok_or_else(|| err("stats.mean"))?),
-                f64::from_bits(a[2].as_u64().ok_or_else(|| err("stats.m2"))?),
-                opt_f64(Some(&a[3])),
-                opt_f64(Some(&a[4])),
-            ))
-        };
-        let mut s = FleetStats::new();
-        s.submitted = get_u64(st, "submitted")?;
-        s.completed = get_u64(st, "completed")?;
-        s.failed = get_u64(st, "failed")?;
-        s.rejected = get_u64(st, "rejected")?;
-        s.rerouted = get_u64(st, "rerouted")?;
-        s.stolen = get_u64(st, "stolen")?;
-        s.crc_failures = get_u64(st, "crc_failures")?;
-        s.scrubs = get_u64(st, "scrubs")?;
-        s.scrub_failures = get_u64(st, "scrub_failures")?;
-        s.boards_quarantined = get_u64(st, "boards_quarantined")?;
-        s.replicated_entries = get_u64(st, "replicated_entries")?;
-        s.invalidations = get_u64(st, "invalidations")?;
-        s.invalidated_copies = get_u64(st, "invalidated_copies")?;
-        s.cache_hits = get_u64(st, "cache_hits")?;
-        s.cache_misses = get_u64(st, "cache_misses")?;
-        s.cache_evictions = get_u64(st, "cache_evictions")?;
-        s.latency = online_from(st.get("latency").ok_or_else(|| err("stats.latency"))?)?;
-        s.queue_wait = online_from(
-            st.get("queue_wait")
-                .ok_or_else(|| err("stats.queue_wait"))?,
-        )?;
-        let sk = st.get("sketch").ok_or_else(|| err("stats.sketch"))?;
-        let exact = sk
-            .get("exact")
-            .and_then(Json::as_array)
-            .ok_or_else(|| err("sketch.exact"))?
-            .iter()
-            .map(|v| v.as_u64().map(f64::from_bits))
-            .collect::<Option<Vec<f64>>>()
-            .ok_or_else(|| err("sketch.exact entries"))?;
-        let bins = sk
-            .get("bins")
-            .and_then(Json::as_array)
-            .ok_or_else(|| err("sketch.bins"))?
-            .iter()
-            .map(|v| {
-                let pair = v.as_array()?;
-                Some((pair.first()?.as_u64()?, pair.get(1)?.as_u64()?))
-            })
-            .collect::<Option<Vec<(u64, u64)>>>()
-            .ok_or_else(|| err("sketch.bins entries"))?;
-        s.sketch = BoundedQuantiles::from_raw_parts(
-            QUANTILE_LIMIT,
-            get_u64(sk, "count")?,
-            opt_f64(sk.get("min")),
-            opt_f64(sk.get("max")),
-            exact,
-            bins,
-        );
-        s.max_completion_ps = get_u64(st, "max_completion_ps")?;
-        run.stats = s;
+        run.stats = payload.field("stats")?;
 
         // Boards (ids are positional: shard-major flatten order).
         let boards = payload
-            .get("boards")
-            .and_then(Json::as_array)
-            .ok_or_else(|| err("fleet checkpoint missing `boards`"))?;
-        if boards.len() != u64::from(run.config.boards) as usize {
+            .required("boards")?
+            .as_array()
+            .ok_or_else(|| err("boards: expected array"))?;
+        if boards.len() != run.config.boards as usize {
             return Err(err("board count mismatch"));
         }
         for bj in boards {
-            let id = get_u64(bj, "id")? as u32;
+            let id: u32 = bj.field("id")?;
             if id >= run.config.boards {
                 return Err(err("board id out of range"));
             }
-            let quarantined = bj
-                .get("quarantined")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| err("board.quarantined"))?;
-            let inflight = bj
-                .get("inflight")
-                .and_then(Json::as_array)
-                .ok_or_else(|| err("board.inflight"))?
+            let cache: Vec<CachedCopy> = bj.field("cache")?;
+            let cache_bytes = cache
                 .iter()
-                .map(|v| v.as_u64())
-                .collect::<Option<std::collections::VecDeque<u64>>>()
-                .ok_or_else(|| err("board.inflight entries"))?;
-            let cache = bj
-                .get("cache")
-                .and_then(Json::as_array)
-                .ok_or_else(|| err("board.cache"))?
-                .iter()
-                .map(|v| {
-                    let t = v.as_array()?;
-                    Some(CachedCopy {
-                        entry: t.first()?.as_u64()? as u32,
-                        version: t.get(1)?.as_u64()? as u32,
-                        stored_bytes: t.get(2)?.as_u64()?,
-                    })
-                })
-                .collect::<Option<Vec<CachedCopy>>>()
-                .ok_or_else(|| err("board.cache entries"))?;
-            let rng = rng_from(bj.get("rng").ok_or_else(|| err("board.rng"))?)?;
+                .try_fold(0u64, |sum, c| sum.checked_add(c.stored_bytes))
+                .ok_or_else(|| err("board cache bytes overflow"))?;
             let b = run.board_mut(id);
-            b.rng = Xoshiro256StarStar::from_state(rng);
-            b.busy_until_ps = get_u64(bj, "busy")?;
-            b.cache_bytes = cache.iter().map(|c| c.stored_bytes).sum();
-            b.inflight = inflight;
+            b.rng = bj.field("rng")?;
+            b.busy_until_ps = bj.field("busy")?;
+            b.inflight = bj.field("inflight")?;
             b.cache = cache;
-            b.scrub_strikes = get_u64(bj, "strikes")? as u32;
-            b.quarantined = quarantined;
-            if quarantined {
+            b.cache_bytes = cache_bytes;
+            b.scrub_strikes = bj.field("strikes")?;
+            b.quarantined = bj.field("quarantined")?;
+            if b.quarantined {
                 run.ring.drain(id);
             }
         }

@@ -14,6 +14,7 @@
 //! not a random variate); `duration` sets the mean rate, so the realised
 //! span of the stream is `duration` give or take Poisson noise.
 
+use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
 use pdr_sim_core::rng::Xoshiro256StarStar;
 use pdr_sim_core::SimDuration;
 
@@ -173,6 +174,34 @@ pub struct Arrival {
     pub key: u64,
 }
 
+/// Checkpoint encoding: `[at_ps, tenant, entry, key]`.
+impl ToJson for Arrival {
+    fn to_json(&self) -> Json {
+        Json::Arr(vec![
+            self.at_ps.to_json(),
+            self.tenant.to_json(),
+            self.entry.to_json(),
+            self.key.to_json(),
+        ])
+    }
+}
+
+impl FromJson for Arrival {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        match v.as_array() {
+            Some([at_ps, tenant, entry, key]) => Ok(Arrival {
+                at_ps: u64::from_json(at_ps)?,
+                tenant: u32::from_json(tenant)?,
+                entry: u32::from_json(entry)?,
+                key: u64::from_json(key)?,
+            }),
+            _ => Err(JsonError {
+                msg: "expected an arrival [at_ps, tenant, entry, key]".into(),
+            }),
+        }
+    }
+}
+
 /// The seeded arrival generator: thinned exponential inter-arrivals (exact
 /// Poisson at the envelope rate), Zipf draws for tenant and entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -287,35 +316,25 @@ impl TrafficModel {
         self.generated
     }
 
-    /// Checkpoint state: `(rng_state, t_ps_bits, generated, pending)`.
-    pub fn raw_parts(&self) -> ([u64; 4], u64, u64, Option<Arrival>) {
-        (
-            self.rng.state(),
-            self.t_ps.to_bits(),
-            self.generated,
-            self.pending,
-        )
+    /// The stream's dynamic state for a checkpoint: generator, clock (as
+    /// `f64` bits), arrivals generated and the pending lookahead.
+    pub fn snapshot_json(&self) -> Json {
+        Json::Obj(vec![
+            ("rng".into(), self.rng.to_json()),
+            ("t_bits".into(), self.t_ps.to_bits().to_json()),
+            ("generated".into(), self.generated.to_json()),
+            ("pending".into(), self.pending.to_json()),
+        ])
     }
 
-    /// Rebuilds a model from config plus [`TrafficModel::raw_parts`] state.
-    pub fn from_raw_parts(
-        cfg: TrafficConfig,
-        tenants: u32,
-        entries: u32,
-        rng_state: [u64; 4],
-        t_ps_bits: u64,
-        generated: u64,
-        pending: Option<Arrival>,
-    ) -> Self {
-        TrafficModel {
-            tenants: ZipfSampler::new(tenants, cfg.tenant_zipf_milli),
-            entries: ZipfSampler::new(entries, cfg.entry_zipf_milli),
-            rng: Xoshiro256StarStar::from_state(rng_state),
-            cfg,
-            t_ps: f64::from_bits(t_ps_bits),
-            generated,
-            pending,
-        }
+    /// Restores [`TrafficModel::snapshot_json`] state onto a model built
+    /// from the same config.
+    pub fn restore_json(&mut self, v: &Json) -> Result<(), JsonError> {
+        self.rng = v.field("rng")?;
+        self.t_ps = f64::from_bits(v.field("t_bits")?);
+        self.generated = v.field("generated")?;
+        self.pending = v.field("pending")?;
+        Ok(())
     }
 }
 
@@ -411,8 +430,8 @@ mod tests {
         let mut front = TrafficModel::new(cfg.clone(), 20, 8, 9);
         let mut got = Vec::new();
         front.fill_until(SimDuration::from_millis(7).as_ps(), &mut got);
-        let (rng, t, n, pending) = front.raw_parts();
-        let mut back = TrafficModel::from_raw_parts(cfg, 20, 8, rng, t, n, pending);
+        let mut back = TrafficModel::new(cfg, 20, 8, 9);
+        back.restore_json(&front.snapshot_json()).unwrap();
         back.fill_until(u64::MAX, &mut got);
         assert_eq!(got, expect);
     }

@@ -37,6 +37,7 @@
 //! assert_eq!(point.freq_mhz, 200); // the paper's knee
 //! ```
 
+use pdr_sim_core::json::{Json, JsonError, ToJson};
 use pdr_sim_core::Frequency;
 
 use crate::report::CrcStatus;
@@ -291,43 +292,21 @@ impl Governor {
     /// Checkpoints the characterisation table and selection cursor. The
     /// probe configuration is structural (supplied at construction) and
     /// does not travel.
-    pub fn snapshot_json(&self) -> pdr_sim_core::json::Json {
-        use pdr_sim_core::json::{Json, ToJson};
+    pub fn snapshot_json(&self) -> Json {
         Json::Obj(vec![
-            (
-                "points".to_string(),
-                Json::Arr(self.points.iter().map(|p| p.to_json()).collect()),
-            ),
-            (
-                "current".to_string(),
-                self.current.map(|i| i as u64).to_json(),
-            ),
+            ("points".to_string(), self.points.to_json()),
+            ("current".to_string(), self.current.to_json()),
         ])
     }
 
     /// Restores a checkpoint taken with [`Governor::snapshot_json`].
-    pub fn restore_json(
-        &mut self,
-        json: &pdr_sim_core::json::Json,
-    ) -> Result<(), pdr_sim_core::json::JsonError> {
-        use pdr_sim_core::json::{FromJson, Json, JsonError};
-        let points = json
-            .get("points")
-            .and_then(Json::as_array)
-            .ok_or_else(|| JsonError {
-                msg: "governor snapshot missing `points`".to_string(),
-            })?
-            .iter()
-            .map(OperatingPoint::from_json)
-            .collect::<Result<Vec<OperatingPoint>, JsonError>>()?;
-        let current = Option::<u64>::from_json(json.get("current").unwrap_or(&Json::Null))?
-            .map(|i| i as usize);
-        if let Some(i) = current {
-            if i >= points.len() {
-                return Err(JsonError {
-                    msg: "governor snapshot `current` out of range".to_string(),
-                });
-            }
+    pub fn restore_json(&mut self, json: &Json) -> Result<(), JsonError> {
+        let points: Vec<OperatingPoint> = json.field("points")?;
+        let current: Option<usize> = json.field("current")?;
+        if current.is_some_and(|i| i >= points.len()) {
+            return Err(JsonError {
+                msg: "governor snapshot `current` out of range".to_string(),
+            });
         }
         self.points = points;
         self.current = current;
@@ -621,70 +600,49 @@ impl DvfsGovernor {
 
     /// Checkpoints every per-voltage table plus the selection/throttle
     /// state. The grid and objective are structural and do not travel.
-    pub fn snapshot_json(&self) -> pdr_sim_core::json::Json {
-        use pdr_sim_core::json::{Json, ToJson};
+    pub fn snapshot_json(&self) -> Json {
+        let tables: Vec<Json> = self
+            .tables
+            .iter()
+            .map(|(vdd, gov)| {
+                Json::Obj(vec![
+                    ("vdd_mv".to_string(), vdd.to_json()),
+                    ("governor".to_string(), gov.snapshot_json()),
+                ])
+            })
+            .collect();
         Json::Obj(vec![
-            (
-                "tables".to_string(),
-                Json::Arr(
-                    self.tables
-                        .iter()
-                        .map(|(vdd, gov)| {
-                            Json::Obj(vec![
-                                ("vdd_mv".to_string(), Json::U64(u64::from(*vdd))),
-                                ("governor".to_string(), gov.snapshot_json()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "active".to_string(),
-                self.active.map(|i| i as u64).to_json(),
-            ),
-            ("throttled".to_string(), Json::Bool(self.throttled)),
+            ("tables".to_string(), Json::Arr(tables)),
+            ("active".to_string(), self.active.to_json()),
+            ("throttled".to_string(), self.throttled.to_json()),
         ])
     }
 
     /// Restores a checkpoint taken with [`DvfsGovernor::snapshot_json`].
-    pub fn restore_json(
-        &mut self,
-        json: &pdr_sim_core::json::Json,
-    ) -> Result<(), pdr_sim_core::json::JsonError> {
-        use pdr_sim_core::json::{FromJson, Json, JsonError};
+    pub fn restore_json(&mut self, json: &Json) -> Result<(), JsonError> {
         let raw = json
-            .get("tables")
-            .and_then(Json::as_array)
+            .required("tables")?
+            .as_array()
             .ok_or_else(|| JsonError {
-                msg: "dvfs snapshot missing `tables`".to_string(),
+                msg: "tables: expected array".to_string(),
             })?;
         let mut tables = Vec::with_capacity(raw.len());
         for entry in raw {
-            let vdd = entry
-                .get("vdd_mv")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| JsonError {
-                    msg: "dvfs table entry missing `vdd_mv`".to_string(),
-                })?;
-            let vdd = u32::try_from(vdd).map_err(|_| JsonError {
-                msg: format!("vdd_mv {vdd} out of u32 range"),
-            })?;
             let mut gov = Governor::new(self.config.governor);
-            gov.restore_json(entry.get("governor").ok_or_else(|| JsonError {
-                msg: "dvfs table entry missing `governor`".to_string(),
-            })?)?;
-            tables.push((vdd, gov));
+            gov.restore_json(entry.required("governor")?)?;
+            tables.push((entry.field("vdd_mv")?, gov));
         }
-        let active = Option::<u64>::from_json(json.get("active").unwrap_or(&Json::Null))?
-            .map(|i| i as usize);
-        if let Some(i) = active {
-            if i >= tables.len() {
-                return Err(JsonError {
-                    msg: "dvfs snapshot `active` out of range".to_string(),
-                });
-            }
+        let active: Option<usize> = json.field("active")?;
+        if active.is_some_and(|i| i >= tables.len()) {
+            return Err(JsonError {
+                msg: "dvfs snapshot `active` out of range".to_string(),
+            });
         }
-        let throttled = bool::from_json(json.get("throttled").unwrap_or(&Json::Bool(false)))?;
+        // Checkpoints from before the throttle latch carry no `throttled`.
+        let throttled = match json.get("throttled") {
+            Some(_) => json.field("throttled")?,
+            None => false,
+        };
         self.tables = tables;
         self.active = active;
         self.throttled = throttled;

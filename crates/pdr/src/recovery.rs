@@ -22,11 +22,9 @@
 //! [`RecoveryManager::stats`]: detection latency, mean-time-to-repair,
 //! retries per success, scrub and quarantine counts.
 
-use std::fmt::Write as _;
-
 use pdr_bitstream::{Bitstream, Bytes};
 use pdr_bitstream_codec::{compress_bitstream, decompress_to_bitstream};
-use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
+use pdr_sim_core::json::{from_hex, to_hex, FromJson, Json, JsonError, ToJson};
 use pdr_sim_core::stats::OnlineStats;
 use pdr_sim_core::{impl_json_enum, impl_json_struct, Frequency, SimDuration};
 
@@ -75,6 +73,38 @@ enum GoldenImage {
     Raw(Bitstream),
     /// A `PDRC` container; expanded when scrubbing needs it.
     Compressed(Vec<u8>),
+}
+
+/// Checkpoint encoding: `{"kind": "raw" | "compressed", "hex": …}`.
+impl ToJson for GoldenImage {
+    fn to_json(&self) -> Json {
+        let (kind, bytes) = match self {
+            GoldenImage::Raw(bs) => ("raw", bs.bytes().as_slice()),
+            GoldenImage::Compressed(bytes) => ("compressed", bytes.as_slice()),
+        };
+        Json::Obj(vec![
+            ("kind".to_string(), kind.to_json()),
+            ("hex".to_string(), Json::Str(to_hex(bytes.iter().copied()))),
+        ])
+    }
+}
+
+impl FromJson for GoldenImage {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let bytes = from_hex(&v.field::<String>("hex")?)?;
+        match v.field::<String>("kind")?.as_str() {
+            "raw" if bytes.len().is_multiple_of(4) => Ok(GoldenImage::Raw(Bitstream::from_bytes(
+                Bytes::copy_from_slice(&bytes),
+            ))),
+            "raw" => Err(JsonError {
+                msg: "golden raw image is not word-aligned".to_string(),
+            }),
+            "compressed" => Ok(GoldenImage::Compressed(bytes)),
+            other => Err(JsonError {
+                msg: format!("unknown golden image kind `{other}`"),
+            }),
+        }
+    }
 }
 
 impl GoldenImage {
@@ -455,53 +485,15 @@ impl RecoveryManager {
     /// as successful reconfigurations re-register them), health, scrub
     /// strikes, and the telemetry accumulators.
     pub fn snapshot_json(&self) -> Json {
-        fn hex(bytes: &[u8]) -> String {
-            let mut s = String::with_capacity(bytes.len() * 2);
-            for b in bytes {
-                let _ = write!(s, "{b:02x}");
-            }
-            s
-        }
-        let golden = self
-            .golden
-            .iter()
-            .map(|g| match g {
-                None => Json::Null,
-                Some(GoldenImage::Raw(bs)) => Json::Obj(vec![
-                    ("kind".to_string(), Json::Str("raw".to_string())),
-                    ("hex".to_string(), Json::Str(hex(bs.bytes().as_slice()))),
-                ]),
-                Some(GoldenImage::Compressed(bytes)) => Json::Obj(vec![
-                    ("kind".to_string(), Json::Str("compressed".to_string())),
-                    ("hex".to_string(), Json::Str(hex(bytes))),
-                ]),
-            })
-            .collect();
-        fn stats_json(s: &OnlineStats) -> Json {
-            let (n, mean, m2, min, max) = s.raw_parts();
-            Json::Obj(vec![
-                ("n".to_string(), Json::U64(n)),
-                ("mean".to_string(), mean.to_json()),
-                ("m2".to_string(), m2.to_json()),
-                ("min".to_string(), min.to_json()),
-                ("max".to_string(), max.to_json()),
-            ])
-        }
         Json::Obj(vec![
-            ("golden".to_string(), Json::Arr(golden)),
-            (
-                "health".to_string(),
-                Json::Arr(self.health.iter().map(|h| h.to_json()).collect()),
-            ),
-            (
-                "scrub_strikes".to_string(),
-                Json::Arr(self.scrub_strikes.iter().map(|s| s.to_json()).collect()),
-            ),
+            ("golden".to_string(), self.golden.to_json()),
+            ("health".to_string(), self.health.to_json()),
+            ("scrub_strikes".to_string(), self.scrub_strikes.to_json()),
             (
                 "detection_latency_us".to_string(),
-                stats_json(&self.detection_latency_us),
+                self.detection_latency_us.to_json(),
             ),
-            ("mttr_us".to_string(), stats_json(&self.mttr_us)),
+            ("mttr_us".to_string(), self.mttr_us.to_json()),
             (
                 "faults_detected".to_string(),
                 self.faults_detected.to_json(),
@@ -520,100 +512,18 @@ impl RecoveryManager {
     /// Restores a checkpoint taken with [`RecoveryManager::snapshot_json`].
     /// The partition count must match this manager's construction.
     pub fn restore_json(&mut self, json: &Json) -> Result<(), JsonError> {
-        fn req<'a>(json: &'a Json, key: &str) -> Result<&'a Json, JsonError> {
-            json.get(key).ok_or_else(|| JsonError {
-                msg: format!("recovery snapshot missing `{key}`"),
-            })
-        }
-        fn unhex(s: &str) -> Result<Vec<u8>, JsonError> {
-            if !s.len().is_multiple_of(2) {
-                return Err(JsonError {
-                    msg: "recovery snapshot hex payload has odd length".to_string(),
-                });
-            }
-            (0..s.len() / 2)
-                .map(|i| {
-                    u8::from_str_radix(&s[2 * i..2 * i + 2], 16).map_err(|_| JsonError {
-                        msg: "recovery snapshot hex payload is not hex".to_string(),
-                    })
-                })
-                .collect()
-        }
-        fn stats_from(json: &Json) -> Result<OnlineStats, JsonError> {
-            Ok(OnlineStats::from_raw_parts(
-                u64::from_json(req(json, "n")?)?,
-                f64::from_json(req(json, "mean")?)?,
-                f64::from_json(req(json, "m2")?)?,
-                Option::<f64>::from_json(req(json, "min")?)?,
-                Option::<f64>::from_json(req(json, "max")?)?,
-            ))
-        }
-        let golden_json = req(json, "golden")?.as_array().ok_or_else(|| JsonError {
-            msg: "recovery snapshot `golden` is not an array".to_string(),
-        })?;
-        if golden_json.len() != self.golden.len() {
+        let golden: Vec<Option<GoldenImage>> = json.field("golden")?;
+        if golden.len() != self.golden.len() {
             return Err(JsonError {
                 msg: format!(
                     "recovery snapshot has {} partitions, manager has {}",
-                    golden_json.len(),
+                    golden.len(),
                     self.golden.len()
                 ),
             });
         }
-        let golden = golden_json
-            .iter()
-            .map(|g| match g {
-                Json::Null => Ok(None),
-                g => {
-                    let kind = g
-                        .get("kind")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| JsonError {
-                            msg: "recovery snapshot golden image missing `kind`".to_string(),
-                        })?;
-                    let bytes =
-                        unhex(
-                            g.get("hex")
-                                .and_then(Json::as_str)
-                                .ok_or_else(|| JsonError {
-                                    msg: "recovery snapshot golden image missing `hex`".to_string(),
-                                })?,
-                        )?;
-                    match kind {
-                        "raw" => {
-                            if !bytes.len().is_multiple_of(4) {
-                                return Err(JsonError {
-                                    msg: "golden raw image is not word-aligned".to_string(),
-                                });
-                            }
-                            Ok(Some(GoldenImage::Raw(Bitstream::from_bytes(
-                                Bytes::copy_from_slice(&bytes),
-                            ))))
-                        }
-                        "compressed" => Ok(Some(GoldenImage::Compressed(bytes))),
-                        other => Err(JsonError {
-                            msg: format!("unknown golden image kind `{other}`"),
-                        }),
-                    }
-                }
-            })
-            .collect::<Result<Vec<Option<GoldenImage>>, JsonError>>()?;
-        let health = req(json, "health")?
-            .as_array()
-            .ok_or_else(|| JsonError {
-                msg: "recovery snapshot `health` is not an array".to_string(),
-            })?
-            .iter()
-            .map(PartitionHealth::from_json)
-            .collect::<Result<Vec<PartitionHealth>, JsonError>>()?;
-        let strikes = req(json, "scrub_strikes")?
-            .as_array()
-            .ok_or_else(|| JsonError {
-                msg: "recovery snapshot `scrub_strikes` is not an array".to_string(),
-            })?
-            .iter()
-            .map(u32::from_json)
-            .collect::<Result<Vec<u32>, JsonError>>()?;
+        let health: Vec<PartitionHealth> = json.field("health")?;
+        let strikes: Vec<u32> = json.field("scrub_strikes")?;
         if health.len() != self.golden.len() || strikes.len() != self.golden.len() {
             return Err(JsonError {
                 msg: "recovery snapshot per-partition arrays have mismatched lengths".to_string(),
@@ -622,14 +532,14 @@ impl RecoveryManager {
         self.golden = golden;
         self.health = health;
         self.scrub_strikes = strikes;
-        self.detection_latency_us = stats_from(req(json, "detection_latency_us")?)?;
-        self.mttr_us = stats_from(req(json, "mttr_us")?)?;
-        self.faults_detected = u64::from_json(req(json, "faults_detected")?)?;
-        self.faults_recovered = u64::from_json(req(json, "faults_recovered")?)?;
-        self.retries = u64::from_json(req(json, "retries")?)?;
-        self.scrubs = u64::from_json(req(json, "scrubs")?)?;
-        self.scrub_failures = u64::from_json(req(json, "scrub_failures")?)?;
-        self.quarantines = u64::from_json(req(json, "quarantines")?)?;
+        self.detection_latency_us = json.field("detection_latency_us")?;
+        self.mttr_us = json.field("mttr_us")?;
+        self.faults_detected = json.field("faults_detected")?;
+        self.faults_recovered = json.field("faults_recovered")?;
+        self.retries = json.field("retries")?;
+        self.scrubs = json.field("scrubs")?;
+        self.scrub_failures = json.field("scrub_failures")?;
+        self.quarantines = json.field("quarantines")?;
         Ok(())
     }
 

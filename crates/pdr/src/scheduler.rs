@@ -44,7 +44,7 @@ use std::collections::BTreeMap;
 use pdr_bitstream::Bitstream;
 use pdr_bitstream_codec::{compress_bitstream, decompress_to_bitstream, CodecReport};
 use pdr_mem::SramConfig;
-use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
+use pdr_sim_core::json::{Json, JsonError, ToJson};
 use pdr_sim_core::stats::SampleSeries;
 use pdr_sim_core::{impl_json_enum, impl_json_struct, Frequency, SimDuration, SimTime};
 
@@ -245,6 +245,13 @@ struct Queued {
     seq: u64,
 }
 
+impl_json_struct!(Queued {
+    req,
+    submitted,
+    abs_deadline,
+    seq
+});
+
 /// What one completed (dispatched) request observed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestRecord {
@@ -376,6 +383,46 @@ impl_json_struct!(SchedulerReport {
 struct Prefetch {
     bitstream_id: u32,
     ready_at: SimTime,
+}
+
+impl_json_struct!(Prefetch {
+    bitstream_id,
+    ready_at
+});
+
+/// A catalog image's sizes, checkpointed to verify the rebuilt catalog.
+struct CatalogDigest {
+    id: u32,
+    raw_bytes: u64,
+    stored_bytes: u64,
+}
+
+impl_json_struct!(CatalogDigest {
+    id,
+    raw_bytes,
+    stored_bytes
+});
+
+/// One tenant's energy figure in a checkpoint.
+struct TenantJoules {
+    tenant: u32,
+    j: f64,
+}
+
+impl_json_struct!(TenantJoules { tenant, j });
+
+fn energy_to_json(map: &BTreeMap<u32, f64>) -> Json {
+    let entries = map.iter().map(|(&tenant, &j)| TenantJoules { tenant, j });
+    Json::Arr(entries.map(|e| e.to_json()).collect())
+}
+
+/// Checkpoints from before energy budgets carry no energy maps.
+fn energy_from_json(json: &Json, key: &str) -> Result<BTreeMap<u32, f64>, JsonError> {
+    if json.get(key).is_none() {
+        return Ok(BTreeMap::new());
+    }
+    let entries: Vec<TenantJoules> = json.field(key)?;
+    Ok(entries.into_iter().map(|e| (e.tenant, e.j)).collect())
 }
 
 /// The multi-tenant reconfiguration scheduler.
@@ -794,104 +841,36 @@ impl Scheduler {
     /// used by [`Scheduler::restore_json`] to verify the rebuilt catalog is
     /// the one the checkpoint was taken against.
     pub fn snapshot_json(&self) -> Json {
-        let catalog = self
+        let catalog: Vec<CatalogDigest> = self
             .catalog
             .iter()
-            .map(|(id, e)| {
-                Json::Obj(vec![
-                    ("id".to_string(), id.to_json()),
-                    ("raw_bytes".to_string(), e.raw_bytes.to_json()),
-                    ("stored_bytes".to_string(), e.stored_bytes.to_json()),
-                ])
+            .map(|(&id, e)| CatalogDigest {
+                id,
+                raw_bytes: e.raw_bytes,
+                stored_bytes: e.stored_bytes,
             })
             .collect();
-        let queue = self
-            .queue
-            .iter()
-            .map(|q| {
-                Json::Obj(vec![
-                    ("req".to_string(), q.req.to_json()),
-                    ("submitted".to_string(), q.submitted.to_json()),
-                    ("abs_deadline".to_string(), q.abs_deadline.to_json()),
-                    ("seq".to_string(), q.seq.to_json()),
-                ])
-            })
-            .collect();
-        let prefetch = match self.prefetch {
-            None => Json::Null,
-            Some(p) => Json::Obj(vec![
-                ("bitstream_id".to_string(), p.bitstream_id.to_json()),
-                ("ready_at".to_string(), p.ready_at.to_json()),
-            ]),
-        };
         Json::Obj(vec![
-            ("catalog".to_string(), Json::Arr(catalog)),
-            (
-                "cache".to_string(),
-                Json::Arr(self.cache.iter().map(|id| id.to_json()).collect()),
-            ),
+            ("catalog".to_string(), catalog.to_json()),
+            ("cache".to_string(), self.cache.to_json()),
             ("cache_bytes".to_string(), self.cache_bytes.to_json()),
-            ("queue".to_string(), Json::Arr(queue)),
-            ("prefetch".to_string(), prefetch),
+            ("queue".to_string(), self.queue.to_json()),
+            ("prefetch".to_string(), self.prefetch.to_json()),
             ("seq".to_string(), self.seq.to_json()),
             ("first_submit".to_string(), self.first_submit.to_json()),
             ("last_complete".to_string(), self.last_complete.to_json()),
-            (
-                "records".to_string(),
-                Json::Arr(self.records.iter().map(|r| r.to_json()).collect()),
-            ),
-            (
-                "queueing_us".to_string(),
-                Json::Arr(
-                    self.queueing_us
-                        .samples()
-                        .iter()
-                        .map(|s| s.to_json())
-                        .collect(),
-                ),
-            ),
-            (
-                "service_us".to_string(),
-                Json::Arr(
-                    self.service_us
-                        .samples()
-                        .iter()
-                        .map(|s| s.to_json())
-                        .collect(),
-                ),
-            ),
+            ("records".to_string(), self.records.to_json()),
+            ("queueing_us".to_string(), self.queueing_us.to_json()),
+            ("service_us".to_string(), self.service_us.to_json()),
             ("submitted".to_string(), self.submitted.to_json()),
-            (
-                "rejections".to_string(),
-                Json::Arr(self.rejections.iter().map(|r| r.to_json()).collect()),
-            ),
+            ("rejections".to_string(), self.rejections.to_json()),
             (
                 "energy_budget_j".to_string(),
-                Json::Arr(
-                    self.energy_budget_j
-                        .iter()
-                        .map(|(t, j)| {
-                            Json::Obj(vec![
-                                ("tenant".to_string(), t.to_json()),
-                                ("j".to_string(), j.to_json()),
-                            ])
-                        })
-                        .collect(),
-                ),
+                energy_to_json(&self.energy_budget_j),
             ),
             (
                 "energy_spent_j".to_string(),
-                Json::Arr(
-                    self.energy_spent_j
-                        .iter()
-                        .map(|(t, j)| {
-                            Json::Obj(vec![
-                                ("tenant".to_string(), t.to_json()),
-                                ("j".to_string(), j.to_json()),
-                            ])
-                        })
-                        .collect(),
-                ),
+                energy_to_json(&self.energy_spent_j),
             ),
             ("completed".to_string(), self.completed.to_json()),
             ("failed".to_string(), self.failed.to_json()),
@@ -921,15 +900,8 @@ impl Scheduler {
     /// leaves this scheduler untouched) if the rebuilt catalog does not
     /// match the checkpoint's per-id size digest.
     pub fn restore_json(&mut self, json: &Json) -> Result<(), JsonError> {
-        fn req<'a>(json: &'a Json, key: &str) -> Result<&'a Json, JsonError> {
-            json.get(key).ok_or_else(|| JsonError {
-                msg: format!("scheduler snapshot missing `{key}`"),
-            })
-        }
         // ---- Validate the catalog digest before touching anything.
-        let digest = req(json, "catalog")?.as_array().ok_or_else(|| JsonError {
-            msg: "scheduler snapshot `catalog` is not an array".to_string(),
-        })?;
+        let digest: Vec<CatalogDigest> = json.field("catalog")?;
         if digest.len() != self.catalog.len() {
             return Err(JsonError {
                 msg: format!(
@@ -939,87 +911,23 @@ impl Scheduler {
                 ),
             });
         }
-        for entry in digest {
-            let id = u32::from_json(req(entry, "id")?)?;
-            let raw = u64::from_json(req(entry, "raw_bytes")?)?;
-            let stored = u64::from_json(req(entry, "stored_bytes")?)?;
-            match self.catalog.get(&id) {
-                Some(e) if e.raw_bytes == raw && e.stored_bytes == stored => {}
+        for d in digest {
+            match self.catalog.get(&d.id) {
+                Some(e) if e.raw_bytes == d.raw_bytes && e.stored_bytes == d.stored_bytes => {}
                 Some(_) => {
                     return Err(JsonError {
-                        msg: format!("catalog image {id} differs from the checkpointed image"),
+                        msg: format!("catalog image {} differs from the checkpointed image", d.id),
                     })
                 }
                 None => {
                     return Err(JsonError {
-                        msg: format!("catalog image {id} missing from the rebuilt scheduler"),
+                        msg: format!("catalog image {} missing from the rebuilt scheduler", d.id),
                     })
                 }
             }
         }
         // ---- Decode everything else, then overlay.
-        let cache = req(json, "cache")?
-            .as_array()
-            .ok_or_else(|| JsonError {
-                msg: "scheduler snapshot `cache` is not an array".to_string(),
-            })?
-            .iter()
-            .map(u32::from_json)
-            .collect::<Result<Vec<u32>, JsonError>>()?;
-        let queue = req(json, "queue")?
-            .as_array()
-            .ok_or_else(|| JsonError {
-                msg: "scheduler snapshot `queue` is not an array".to_string(),
-            })?
-            .iter()
-            .map(|q| {
-                Ok(Queued {
-                    req: ReconfigRequest::from_json(req(q, "req")?)?,
-                    submitted: SimTime::from_json(req(q, "submitted")?)?,
-                    abs_deadline: SimTime::from_json(req(q, "abs_deadline")?)?,
-                    seq: u64::from_json(req(q, "seq")?)?,
-                })
-            })
-            .collect::<Result<Vec<Queued>, JsonError>>()?;
-        let prefetch = match req(json, "prefetch")? {
-            Json::Null => None,
-            p => Some(Prefetch {
-                bitstream_id: u32::from_json(req(p, "bitstream_id")?)?,
-                ready_at: SimTime::from_json(req(p, "ready_at")?)?,
-            }),
-        };
-        let records = req(json, "records")?
-            .as_array()
-            .ok_or_else(|| JsonError {
-                msg: "scheduler snapshot `records` is not an array".to_string(),
-            })?
-            .iter()
-            .map(RequestRecord::from_json)
-            .collect::<Result<Vec<RequestRecord>, JsonError>>()?;
-        let queueing = req(json, "queueing_us")?
-            .as_array()
-            .ok_or_else(|| JsonError {
-                msg: "scheduler snapshot `queueing_us` is not an array".to_string(),
-            })?
-            .iter()
-            .map(f64::from_json)
-            .collect::<Result<Vec<f64>, JsonError>>()?;
-        let service = req(json, "service_us")?
-            .as_array()
-            .ok_or_else(|| JsonError {
-                msg: "scheduler snapshot `service_us` is not an array".to_string(),
-            })?
-            .iter()
-            .map(f64::from_json)
-            .collect::<Result<Vec<f64>, JsonError>>()?;
-        let rejections = req(json, "rejections")?
-            .as_array()
-            .ok_or_else(|| JsonError {
-                msg: "scheduler snapshot `rejections` is not an array".to_string(),
-            })?
-            .iter()
-            .map(u64::from_json)
-            .collect::<Result<Vec<u64>, JsonError>>()?;
+        let rejections: Vec<u64> = json.field("rejections")?;
         // 4 entries = pre-energy-budget checkpoint (no energy rejections
         // could have happened); 5 = current layout.
         if rejections.len() != 4 && rejections.len() != 5 {
@@ -1027,56 +935,42 @@ impl Scheduler {
                 msg: "scheduler snapshot `rejections` must have 4 or 5 entries".to_string(),
             });
         }
-        fn tenant_map(json: Option<&Json>, key: &str) -> Result<BTreeMap<u32, f64>, JsonError> {
-            let Some(json) = json else {
-                return Ok(BTreeMap::new()); // pre-energy-budget checkpoint
-            };
-            json.as_array()
-                .ok_or_else(|| JsonError {
-                    msg: format!("scheduler snapshot `{key}` is not an array"),
-                })?
-                .iter()
-                .map(|e| {
-                    Ok((
-                        u32::from_json(req(e, "tenant")?)?,
-                        f64::from_json(req(e, "j")?)?,
-                    ))
-                })
-                .collect()
-        }
-        let energy_budget = tenant_map(json.get("energy_budget_j"), "energy_budget_j")?;
-        let energy_spent = tenant_map(json.get("energy_spent_j"), "energy_spent_j")?;
-        self.cache = cache;
-        self.cache_bytes = u64::from_json(req(json, "cache_bytes")?)?;
-        self.queue = queue;
-        self.prefetch = prefetch;
-        self.seq = u64::from_json(req(json, "seq")?)?;
-        self.first_submit = Option::<SimTime>::from_json(req(json, "first_submit")?)?;
-        self.last_complete = Option::<SimTime>::from_json(req(json, "last_complete")?)?;
-        self.records = records;
-        self.queueing_us = SampleSeries::from_samples(queueing);
-        self.service_us = SampleSeries::from_samples(service);
-        self.submitted = u64::from_json(req(json, "submitted")?)?;
-        self.rejections = [
-            rejections[0],
-            rejections[1],
-            rejections[2],
-            rejections[3],
-            rejections.get(4).copied().unwrap_or(0),
-        ];
-        self.energy_budget_j = energy_budget;
-        self.energy_spent_j = energy_spent;
-        self.completed = u64::from_json(req(json, "completed")?)?;
-        self.failed = u64::from_json(req(json, "failed")?)?;
-        self.deadlines_met = u64::from_json(req(json, "deadlines_met")?)?;
-        self.deadlines_missed = u64::from_json(req(json, "deadlines_missed")?)?;
-        self.cache_hits = u64::from_json(req(json, "cache_hits")?)?;
-        self.cache_misses = u64::from_json(req(json, "cache_misses")?)?;
-        self.prefetch_hits = u64::from_json(req(json, "prefetch_hits")?)?;
-        self.cache_evictions = u64::from_json(req(json, "cache_evictions")?)?;
-        self.bytes_evicted = u64::from_json(req(json, "bytes_evicted")?)?;
-        self.bytes_transferred = u64::from_json(req(json, "bytes_transferred")?)?;
-        self.bytes_fetched = u64::from_json(req(json, "bytes_fetched")?)?;
+        *self = Scheduler {
+            cache: json.field("cache")?,
+            cache_bytes: json.field("cache_bytes")?,
+            queue: json.field("queue")?,
+            prefetch: json.field("prefetch")?,
+            seq: json.field("seq")?,
+            first_submit: json.field("first_submit")?,
+            last_complete: json.field("last_complete")?,
+            records: json.field("records")?,
+            queueing_us: json.field("queueing_us")?,
+            service_us: json.field("service_us")?,
+            submitted: json.field("submitted")?,
+            rejections: [
+                rejections[0],
+                rejections[1],
+                rejections[2],
+                rejections[3],
+                rejections.get(4).copied().unwrap_or(0),
+            ],
+            energy_budget_j: energy_from_json(json, "energy_budget_j")?,
+            energy_spent_j: energy_from_json(json, "energy_spent_j")?,
+            completed: json.field("completed")?,
+            failed: json.field("failed")?,
+            deadlines_met: json.field("deadlines_met")?,
+            deadlines_missed: json.field("deadlines_missed")?,
+            cache_hits: json.field("cache_hits")?,
+            cache_misses: json.field("cache_misses")?,
+            prefetch_hits: json.field("prefetch_hits")?,
+            cache_evictions: json.field("cache_evictions")?,
+            bytes_evicted: json.field("bytes_evicted")?,
+            bytes_transferred: json.field("bytes_transferred")?,
+            bytes_fetched: json.field("bytes_fetched")?,
+            // Structural state moves over last, once every field decoded.
+            config: self.config,
+            catalog: std::mem::take(&mut self.catalog),
+        };
         Ok(())
     }
 

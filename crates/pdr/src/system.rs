@@ -12,14 +12,14 @@ use pdr_fabric::{AspImage, AspKind, ColumnKind, ConfigMemory, Floorplan, Geometr
 use pdr_icap::{shared_config_memory, IcapController, SharedConfigMemory};
 use pdr_mem::{Backing, DramConfig, DramController};
 use pdr_power::{CurrentSenseMeter, PowerModel};
-use pdr_sim_core::json::{Json, JsonError};
+use pdr_sim_core::impl_json_struct;
+use pdr_sim_core::json::{from_hex, to_hex, Json, JsonError, ToJson};
 use pdr_sim_core::thermal::{ThermalRc, ThermalRcConfig, ThermalSample};
 use pdr_sim_core::{
     ClockDomainId, ComponentId, Engine, EngineStrategy, Fifo, Frequency, IrqBus, IrqLine,
     SimDuration, SimTime, Xoshiro256StarStar,
 };
 use pdr_timing::{voltage_derate_mhz, DieThermal, OverclockModel, XadcSensor};
-use std::fmt::Write as _;
 
 use crate::clockwizard::ClockWizard;
 use crate::crc_readback::{CrcReadback, Region, CYCLES_PER_FRAME};
@@ -184,6 +184,55 @@ impl SystemConfig {
     }
 }
 
+/// An active timing derate: `mhz` of margin lost until `until_ps`.
+#[derive(Debug, Clone, Copy)]
+struct Derate {
+    mhz: f64,
+    until_ps: SimTime,
+}
+impl_json_struct!(Derate { mhz, until_ps });
+
+/// Configuration memory in a checkpoint: the non-zero frames and the
+/// access counters.
+struct ConfigMemState {
+    frames: Vec<FrameHex>,
+    writes: u64,
+    reads: u64,
+}
+impl_json_struct!(ConfigMemState {
+    frames,
+    writes,
+    reads
+});
+
+/// One non-zero configuration frame, its words as big-endian hex.
+struct FrameHex {
+    idx: u32,
+    hex: String,
+}
+impl_json_struct!(FrameHex { idx, hex });
+
+impl FrameHex {
+    fn decode(&self) -> Result<(u32, Frame), JsonError> {
+        let bytes = from_hex(&self.hex)?;
+        if bytes.len() != FRAME_WORDS * 4 {
+            return Err(JsonError {
+                msg: format!(
+                    "config_mem frame {}: expected {} hex chars, got {}",
+                    self.idx,
+                    FRAME_WORDS * 8,
+                    self.hex.len()
+                ),
+            });
+        }
+        let words = bytes
+            .chunks_exact(4)
+            .map(|w| u32::from_be_bytes([w[0], w[1], w[2], w[3]]))
+            .collect();
+        Ok((self.idx, Frame::from_words(words)))
+    }
+}
+
 /// The assembled system. See the [crate documentation](crate) for a
 /// quickstart.
 pub struct ZynqPdrSystem {
@@ -227,7 +276,7 @@ pub struct ZynqPdrSystem {
     monitored_frames: u32,
     /// Active timing-violation burst: extra MHz of derating applied to the
     /// failure envelope until the given instant.
-    derate_until: Option<(f64, SimTime)>,
+    derate_until: Option<Derate>,
     /// DMA stall cycles to arm on the next reconfiguration (applied after
     /// the pre-flight quiesce, which would otherwise clear them).
     pending_dma_stall: u64,
@@ -1234,7 +1283,10 @@ impl ZynqPdrSystem {
             derate_mhz >= 0.0 && derate_mhz.is_finite(),
             "derate must be a finite non-negative MHz value: {derate_mhz}"
         );
-        self.derate_until = Some((derate_mhz, self.engine.now() + duration));
+        self.derate_until = Some(Derate {
+            mhz: derate_mhz,
+            until_ps: self.engine.now() + duration,
+        });
         self.trace_emit(TraceEvent::FaultInjected {
             kind: FaultKind::TimingBurst,
         });
@@ -1244,7 +1296,7 @@ impl ZynqPdrSystem {
     /// bursts are dropped lazily.
     pub fn active_derate_mhz(&mut self) -> f64 {
         match self.derate_until {
-            Some((mhz, until)) if self.engine.now() < until => mhz,
+            Some(d) if self.engine.now() < d.until_ps => d.mhz,
             Some(_) => {
                 self.derate_until = None;
                 0.0
@@ -1326,62 +1378,35 @@ impl ZynqPdrSystem {
     /// single source of truth for topology.
     pub fn snapshot_json(&self) -> Json {
         let mem = self.mem.borrow();
-        let frames: Vec<Json> = mem
-            .nonzero_frames()
-            .into_iter()
-            .map(|(idx, frame)| {
-                let mut hex = String::with_capacity(FRAME_WORDS * 8);
-                for w in frame.words() {
-                    let _ = write!(hex, "{w:08x}");
-                }
-                Json::Obj(vec![
-                    ("idx".into(), Json::U64(u64::from(idx))),
-                    ("hex".into(), Json::Str(hex)),
-                ])
-            })
-            .collect();
+        let config_mem = ConfigMemState {
+            frames: mem
+                .nonzero_frames()
+                .into_iter()
+                .map(|(idx, frame)| FrameHex {
+                    idx,
+                    hex: to_hex(frame.words().iter().flat_map(|w| w.to_be_bytes())),
+                })
+                .collect(),
+            writes: mem.write_count(),
+            reads: mem.read_count(),
+        };
         Json::Obj(vec![
             ("engine".into(), self.engine.snapshot()),
             ("backing".into(), self.backing.snapshot_json()),
-            (
-                "config_mem".into(),
-                Json::Obj(vec![
-                    ("frames".into(), Json::Arr(frames)),
-                    ("writes".into(), Json::U64(mem.write_count())),
-                    ("reads".into(), Json::U64(mem.read_count())),
-                ]),
-            ),
-            (
-                "overclock_hz".into(),
-                Json::U64(self.wizard.frequency().as_hz()),
-            ),
+            ("config_mem".into(), config_mem.to_json()),
+            ("overclock_hz".into(), self.wizard.frequency().to_json()),
             ("die_c".into(), Json::F64(self.thermal.die_temp_c())),
             ("env_c".into(), Json::F64(self.thermal.env_temp_c())),
-            (
-                "rng".into(),
-                Json::Arr(self.rng.state().iter().map(|&w| Json::U64(w)).collect()),
-            ),
+            ("rng".into(), self.rng.to_json()),
             ("reconfigs".into(), Json::U64(self.reconfigs)),
-            (
-                "monitored_frames".into(),
-                Json::U64(u64::from(self.monitored_frames)),
-            ),
-            (
-                "derate".into(),
-                match self.derate_until {
-                    None => Json::Null,
-                    Some((mhz, until)) => Json::Obj(vec![
-                        ("mhz".into(), Json::F64(mhz)),
-                        ("until_ps".into(), Json::U64(until.as_ps())),
-                    ]),
-                },
-            ),
+            ("monitored_frames".into(), self.monitored_frames.to_json()),
+            ("derate".into(), self.derate_until.to_json()),
             (
                 "pending_dma_stall".into(),
                 Json::U64(self.pending_dma_stall),
             ),
-            ("vdd_mv".into(), Json::U64(u64::from(self.vdd_mv))),
-            ("trace".into(), self.trace.snapshot_json()),
+            ("vdd_mv".into(), self.vdd_mv.to_json()),
+            ("trace".into(), self.trace.to_json()),
         ])
     }
 
@@ -1392,137 +1417,40 @@ impl ZynqPdrSystem {
     /// and engine strategy) — the engine restore validates the component
     /// structure and rejects mismatches before any state is mutated.
     pub fn restore_json(&mut self, json: &Json) -> Result<(), JsonError> {
-        fn req<'a>(json: &'a Json, key: &str) -> Result<&'a Json, JsonError> {
-            json.get(key).ok_or_else(|| JsonError {
-                msg: format!("system snapshot missing `{key}`"),
-            })
-        }
         // The engine restore validates clock-domain and component structure
         // against the snapshot before touching any component, so a snapshot
         // from a different floorplan fails here without partial mutation.
-        self.engine.restore(req(json, "engine")?)?;
-        self.backing.restore_json(req(json, "backing")?)?;
+        self.engine.restore(json.required("engine")?)?;
+        self.backing.restore_json(json.required("backing")?)?;
 
-        let cm = req(json, "config_mem")?;
-        let frames_json = req(cm, "frames")?.as_array().ok_or_else(|| JsonError {
-            msg: "config_mem.frames must be an array".into(),
-        })?;
-        let mut frames = Vec::with_capacity(frames_json.len());
-        for f in frames_json {
-            let idx = req(f, "idx")?.as_u64().ok_or_else(|| JsonError {
-                msg: "config_mem frame idx must be u64".into(),
-            })?;
-            let idx = u32::try_from(idx).map_err(|_| JsonError {
-                msg: format!("config_mem frame idx {idx} out of u32 range"),
-            })?;
-            let hex = req(f, "hex")?.as_str().ok_or_else(|| JsonError {
-                msg: "config_mem frame hex must be a string".into(),
-            })?;
-            if hex.len() != FRAME_WORDS * 8 || !hex.is_ascii() {
-                return Err(JsonError {
-                    msg: format!(
-                        "config_mem frame {idx}: expected {} hex chars, got {}",
-                        FRAME_WORDS * 8,
-                        hex.len()
-                    ),
-                });
-            }
-            let mut words = Vec::with_capacity(FRAME_WORDS);
-            for i in 0..FRAME_WORDS {
-                let w = u32::from_str_radix(&hex[8 * i..8 * i + 8], 16).map_err(|_| JsonError {
-                    msg: format!("config_mem frame {idx}: bad hex word at {i}"),
-                })?;
-                words.push(w);
-            }
-            frames.push((idx, Frame::from_words(words)));
-        }
-        let writes = req(cm, "writes")?.as_u64().ok_or_else(|| JsonError {
-            msg: "config_mem.writes must be u64".into(),
-        })?;
-        let reads = req(cm, "reads")?.as_u64().ok_or_else(|| JsonError {
-            msg: "config_mem.reads must be u64".into(),
-        })?;
+        let cm: ConfigMemState = json.field("config_mem")?;
+        let frames = cm
+            .frames
+            .iter()
+            .map(FrameHex::decode)
+            .collect::<Result<Vec<_>, _>>()?;
         self.mem
             .borrow_mut()
-            .restore_parts(&frames, writes, reads)
+            .restore_parts(&frames, cm.writes, cm.reads)
             .map_err(|msg| JsonError { msg })?;
-
-        let hz = req(json, "overclock_hz")?
-            .as_u64()
-            .ok_or_else(|| JsonError {
-                msg: "overclock_hz must be u64".into(),
-            })?;
-        self.wizard.restore_frequency(Frequency::from_hz(hz));
-
-        let die_c = req(json, "die_c")?.as_f64().ok_or_else(|| JsonError {
-            msg: "die_c must be a number".into(),
-        })?;
-        let env_c = req(json, "env_c")?.as_f64().ok_or_else(|| JsonError {
-            msg: "env_c must be a number".into(),
-        })?;
-        self.thermal.set_env_temp(env_c);
+        self.wizard
+            .restore_frequency(json.field("overclock_hz")?)
+            .map_err(|msg| JsonError { msg })?;
+        let die_c = json.field("die_c")?;
+        self.thermal.set_env_temp(json.field("env_c")?);
         self.thermal.force_die_temp(die_c);
-
-        let rng_json = req(json, "rng")?.as_array().ok_or_else(|| JsonError {
-            msg: "rng must be an array".into(),
-        })?;
-        if rng_json.len() != 4 {
-            return Err(JsonError {
-                msg: format!("rng state must have 4 words, got {}", rng_json.len()),
-            });
-        }
-        let mut state = [0u64; 4];
-        for (slot, v) in state.iter_mut().zip(rng_json) {
-            *slot = v.as_u64().ok_or_else(|| JsonError {
-                msg: "rng state word must be u64".into(),
-            })?;
-        }
-        self.rng = Xoshiro256StarStar::from_state(state);
-
-        self.reconfigs = req(json, "reconfigs")?.as_u64().ok_or_else(|| JsonError {
-            msg: "reconfigs must be u64".into(),
-        })?;
-        let monitored = req(json, "monitored_frames")?
-            .as_u64()
-            .ok_or_else(|| JsonError {
-                msg: "monitored_frames must be u64".into(),
-            })?;
-        self.monitored_frames = u32::try_from(monitored).map_err(|_| JsonError {
-            msg: format!("monitored_frames {monitored} out of u32 range"),
-        })?;
-
-        self.derate_until = match req(json, "derate")? {
-            Json::Null => None,
-            d => {
-                let mhz = req(d, "mhz")?.as_f64().ok_or_else(|| JsonError {
-                    msg: "derate.mhz must be a number".into(),
-                })?;
-                let until = req(d, "until_ps")?.as_u64().ok_or_else(|| JsonError {
-                    msg: "derate.until_ps must be u64".into(),
-                })?;
-                Some((mhz, SimTime::from_ps(until)))
-            }
-        };
-
-        self.pending_dma_stall =
-            req(json, "pending_dma_stall")?
-                .as_u64()
-                .ok_or_else(|| JsonError {
-                    msg: "pending_dma_stall must be u64".into(),
-                })?;
-
+        self.rng = json.field("rng")?;
+        self.reconfigs = json.field("reconfigs")?;
+        self.monitored_frames = json.field("monitored_frames")?;
+        self.derate_until = json.field("derate")?;
+        self.pending_dma_stall = json.field("pending_dma_stall")?;
         // Snapshots written before the voltage axis existed carry no
         // `vdd_mv`; keep the constructed value (nominal) in that case.
-        if let Some(v) = json.get("vdd_mv") {
-            let mv = v.as_u64().ok_or_else(|| JsonError {
-                msg: "vdd_mv must be u64".into(),
-            })?;
-            self.vdd_mv = u32::try_from(mv).map_err(|_| JsonError {
-                msg: format!("vdd_mv {mv} out of u32 range"),
-            })?;
+        if json.get("vdd_mv").is_some() {
+            self.vdd_mv = json.field("vdd_mv")?;
         }
-
-        self.trace.restore_json(req(json, "trace")?)
+        self.trace = json.field("trace")?;
+        Ok(())
     }
 }
 

@@ -229,100 +229,67 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// The event's wire tag — the `"event"` value in the JSONL encoding.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            TraceEvent::ReconfigStart { .. } => "ReconfigStart",
-            TraceEvent::ReconfigDone { .. } => "ReconfigDone",
-            TraceEvent::DmaBurst { .. } => "DmaBurst",
-            TraceEvent::CrcPass { .. } => "CrcPass",
-            TraceEvent::CrcFail { .. } => "CrcFail",
-            TraceEvent::CrcAlarm { .. } => "CrcAlarm",
-            TraceEvent::FaultInjected { .. } => "FaultInjected",
-            TraceEvent::Retry { .. } => "Retry",
-            TraceEvent::Backoff { .. } => "Backoff",
-            TraceEvent::Scrub { .. } => "Scrub",
-            TraceEvent::Quarantine { .. } => "Quarantine",
-            TraceEvent::CacheHit { .. } => "CacheHit",
-            TraceEvent::CacheMiss { .. } => "CacheMiss",
-            TraceEvent::CacheEvict { .. } => "CacheEvict",
-            TraceEvent::PrefetchArmed { .. } => "PrefetchArmed",
-            TraceEvent::CodecBlock { .. } => "CodecBlock",
-            TraceEvent::SdFileStaged { .. } => "SdFileStaged",
-            TraceEvent::StagedTransferStart { .. } => "StagedTransferStart",
-            TraceEvent::StagedTransferDone { .. } => "StagedTransferDone",
-            TraceEvent::DvfsSet { .. } => "DvfsSet",
-            TraceEvent::ThermalAlarm { .. } => "ThermalAlarm",
-            TraceEvent::ThermalThrottle { .. } => "ThermalThrottle",
-        }
-    }
+/// The flat JSONL codec of [`TraceEvent`]: the wire tag is the variant
+/// name and each payload key is the field name, listed once here in
+/// declaration order.
+macro_rules! trace_event_codec {
+    ($($variant:ident { $($field:ident),+ }),+ $(,)?) => {
+        impl TraceEvent {
+            /// The event's wire tag — the `"event"` value in the JSONL encoding.
+            pub fn tag(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => stringify!($variant),)+
+                }
+            }
 
-    /// Payload fields in declaration order, ready to splice into the flat
-    /// record object.
-    fn fields(&self) -> Vec<(String, Json)> {
-        fn u(k: &str, v: u64) -> (String, Json) {
-            (k.to_string(), Json::U64(v))
-        }
-        fn b(k: &str, v: bool) -> (String, Json) {
-            (k.to_string(), Json::Bool(v))
-        }
-        match *self {
-            TraceEvent::ReconfigStart {
-                rp,
-                bytes,
-                freq_mhz,
-            } => {
-                vec![u("rp", rp), u("bytes", bytes), u("freq_mhz", freq_mhz)]
+            /// Payload fields in declaration order, ready to splice into the
+            /// flat record object.
+            fn fields(&self) -> Vec<(String, Json)> {
+                match self {
+                    $(TraceEvent::$variant { $($field),+ } => {
+                        vec![$((stringify!($field).to_string(), $field.to_json())),+]
+                    })+
+                }
             }
-            TraceEvent::ReconfigDone { rp, ok, latency_ps } => {
-                vec![u("rp", rp), b("ok", ok), u("latency_ps", latency_ps)]
-            }
-            TraceEvent::DmaBurst { bytes } => vec![u("bytes", bytes)],
-            TraceEvent::CrcPass { frames } => vec![u("frames", frames)],
-            TraceEvent::CrcFail { frames } => vec![u("frames", frames)],
-            TraceEvent::CrcAlarm { latency_ps } => vec![u("latency_ps", latency_ps)],
-            TraceEvent::FaultInjected { kind } => {
-                vec![("kind".to_string(), kind.to_json())]
-            }
-            TraceEvent::Retry {
-                rp,
-                attempt,
-                freq_mhz,
-            } => vec![u("rp", rp), u("attempt", attempt), u("freq_mhz", freq_mhz)],
-            TraceEvent::Backoff {
-                rp,
-                from_mhz,
-                to_mhz,
-            } => vec![u("rp", rp), u("from_mhz", from_mhz), u("to_mhz", to_mhz)],
-            TraceEvent::Scrub { rp, freq_mhz } => vec![u("rp", rp), u("freq_mhz", freq_mhz)],
-            TraceEvent::Quarantine { rp } => vec![u("rp", rp)],
-            TraceEvent::CacheHit { id, bytes } => vec![u("id", id), u("bytes", bytes)],
-            TraceEvent::CacheMiss { id, stored_bytes } => {
-                vec![u("id", id), u("stored_bytes", stored_bytes)]
-            }
-            TraceEvent::CacheEvict { id, bytes } => vec![u("id", id), u("bytes", bytes)],
-            TraceEvent::PrefetchArmed { id, bytes } => vec![u("id", id), u("bytes", bytes)],
-            TraceEvent::CodecBlock { block, words_out } => {
-                vec![u("block", block), u("words_out", words_out)]
-            }
-            TraceEvent::SdFileStaged {
-                raw_bytes,
-                stored_bytes,
-            } => vec![u("raw_bytes", raw_bytes), u("stored_bytes", stored_bytes)],
-            TraceEvent::StagedTransferStart { sram_words } => vec![u("sram_words", sram_words)],
-            TraceEvent::StagedTransferDone { ok, words_out } => {
-                vec![b("ok", ok), u("words_out", words_out)]
-            }
-            TraceEvent::DvfsSet { vdd_mv, freq_mhz } => {
-                vec![u("vdd_mv", vdd_mv), u("freq_mhz", freq_mhz)]
-            }
-            TraceEvent::ThermalAlarm { temp_mc } => vec![u("temp_mc", temp_mc)],
-            TraceEvent::ThermalThrottle { vdd_mv, freq_mhz } => {
-                vec![u("vdd_mv", vdd_mv), u("freq_mhz", freq_mhz)]
+
+            /// Decodes the payload of the event tagged `tag`.
+            fn from_fields(tag: &str, json: &Json) -> Result<Self, JsonError> {
+                match tag {
+                    $(stringify!($variant) => Ok(TraceEvent::$variant {
+                        $($field: json.field(stringify!($field))?),+
+                    }),)+
+                    other => Err(JsonError {
+                        msg: format!("unknown trace event tag `{other}`"),
+                    }),
+                }
             }
         }
-    }
+    };
+}
+
+trace_event_codec! {
+    ReconfigStart { rp, bytes, freq_mhz },
+    ReconfigDone { rp, ok, latency_ps },
+    DmaBurst { bytes },
+    CrcPass { frames },
+    CrcFail { frames },
+    CrcAlarm { latency_ps },
+    FaultInjected { kind },
+    Retry { rp, attempt, freq_mhz },
+    Backoff { rp, from_mhz, to_mhz },
+    Scrub { rp, freq_mhz },
+    Quarantine { rp },
+    CacheHit { id, bytes },
+    CacheMiss { id, stored_bytes },
+    CacheEvict { id, bytes },
+    PrefetchArmed { id, bytes },
+    CodecBlock { block, words_out },
+    SdFileStaged { raw_bytes, stored_bytes },
+    StagedTransferStart { sram_words },
+    StagedTransferDone { ok, words_out },
+    DvfsSet { vdd_mv, freq_mhz },
+    ThermalAlarm { temp_mc },
+    ThermalThrottle { vdd_mv, freq_mhz },
 }
 
 /// One stamped event on the tape.
@@ -354,120 +321,13 @@ impl FromJson for TraceRecord {
     /// Inverse of the flat encoding above — the checkpoint layer uses it to
     /// rebuild the retained tape, so every variant must round-trip exactly.
     fn from_json(json: &Json) -> Result<Self, JsonError> {
-        fn u(json: &Json, key: &str) -> Result<u64, JsonError> {
-            json.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| JsonError {
-                    msg: format!("trace record missing u64 field `{key}`"),
-                })
-        }
-        fn b(json: &Json, key: &str) -> Result<bool, JsonError> {
-            json.get(key)
-                .and_then(Json::as_bool)
-                .ok_or_else(|| JsonError {
-                    msg: format!("trace record missing bool field `{key}`"),
-                })
-        }
-        let seq = u(json, "seq")?;
-        let t_ps = u(json, "t_ps")?;
-        let tag = json
-            .get("event")
-            .and_then(Json::as_str)
-            .ok_or_else(|| JsonError {
-                msg: "trace record missing `event` tag".to_string(),
-            })?;
-        let event = match tag {
-            "ReconfigStart" => TraceEvent::ReconfigStart {
-                rp: u(json, "rp")?,
-                bytes: u(json, "bytes")?,
-                freq_mhz: u(json, "freq_mhz")?,
-            },
-            "ReconfigDone" => TraceEvent::ReconfigDone {
-                rp: u(json, "rp")?,
-                ok: b(json, "ok")?,
-                latency_ps: u(json, "latency_ps")?,
-            },
-            "DmaBurst" => TraceEvent::DmaBurst {
-                bytes: u(json, "bytes")?,
-            },
-            "CrcPass" => TraceEvent::CrcPass {
-                frames: u(json, "frames")?,
-            },
-            "CrcFail" => TraceEvent::CrcFail {
-                frames: u(json, "frames")?,
-            },
-            "CrcAlarm" => TraceEvent::CrcAlarm {
-                latency_ps: u(json, "latency_ps")?,
-            },
-            "FaultInjected" => TraceEvent::FaultInjected {
-                kind: FaultKind::from_json(json.get("kind").ok_or_else(|| JsonError {
-                    msg: "FaultInjected record missing `kind`".to_string(),
-                })?)?,
-            },
-            "Retry" => TraceEvent::Retry {
-                rp: u(json, "rp")?,
-                attempt: u(json, "attempt")?,
-                freq_mhz: u(json, "freq_mhz")?,
-            },
-            "Backoff" => TraceEvent::Backoff {
-                rp: u(json, "rp")?,
-                from_mhz: u(json, "from_mhz")?,
-                to_mhz: u(json, "to_mhz")?,
-            },
-            "Scrub" => TraceEvent::Scrub {
-                rp: u(json, "rp")?,
-                freq_mhz: u(json, "freq_mhz")?,
-            },
-            "Quarantine" => TraceEvent::Quarantine { rp: u(json, "rp")? },
-            "CacheHit" => TraceEvent::CacheHit {
-                id: u(json, "id")?,
-                bytes: u(json, "bytes")?,
-            },
-            "CacheMiss" => TraceEvent::CacheMiss {
-                id: u(json, "id")?,
-                stored_bytes: u(json, "stored_bytes")?,
-            },
-            "CacheEvict" => TraceEvent::CacheEvict {
-                id: u(json, "id")?,
-                bytes: u(json, "bytes")?,
-            },
-            "PrefetchArmed" => TraceEvent::PrefetchArmed {
-                id: u(json, "id")?,
-                bytes: u(json, "bytes")?,
-            },
-            "CodecBlock" => TraceEvent::CodecBlock {
-                block: u(json, "block")?,
-                words_out: u(json, "words_out")?,
-            },
-            "SdFileStaged" => TraceEvent::SdFileStaged {
-                raw_bytes: u(json, "raw_bytes")?,
-                stored_bytes: u(json, "stored_bytes")?,
-            },
-            "StagedTransferStart" => TraceEvent::StagedTransferStart {
-                sram_words: u(json, "sram_words")?,
-            },
-            "StagedTransferDone" => TraceEvent::StagedTransferDone {
-                ok: b(json, "ok")?,
-                words_out: u(json, "words_out")?,
-            },
-            "DvfsSet" => TraceEvent::DvfsSet {
-                vdd_mv: u(json, "vdd_mv")?,
-                freq_mhz: u(json, "freq_mhz")?,
-            },
-            "ThermalAlarm" => TraceEvent::ThermalAlarm {
-                temp_mc: u(json, "temp_mc")?,
-            },
-            "ThermalThrottle" => TraceEvent::ThermalThrottle {
-                vdd_mv: u(json, "vdd_mv")?,
-                freq_mhz: u(json, "freq_mhz")?,
-            },
-            other => {
-                return Err(JsonError {
-                    msg: format!("unknown trace event tag `{other}`"),
-                })
-            }
-        };
-        Ok(TraceRecord { seq, t_ps, event })
+        let tag: String = json.field("event")?;
+        let event = TraceEvent::from_fields(&tag, json)?;
+        Ok(TraceRecord {
+            seq: json.field("seq")?,
+            t_ps: json.field("t_ps")?,
+            event,
+        })
     }
 }
 
@@ -651,9 +511,20 @@ pub struct TraceSink {
     level: TraceLevel,
     seq: u64,
     counters: TraceCounters,
-    reconfig_latency_us: SampleSeries,
+    latency_samples: SampleSeries,
     events: Vec<TraceRecord>,
 }
+
+// The checkpoint form: the complete sink state, with the raw latency
+// samples as bit-exact floats and the retained tape. Restoring it and
+// continuing a run produces the same bytes as never pausing.
+impl_json_struct!(TraceSink {
+    level,
+    seq,
+    counters,
+    latency_samples,
+    events
+});
 
 impl TraceSink {
     /// A sink at [`TraceLevel::Off`].
@@ -697,7 +568,7 @@ impl TraceSink {
         } = event
         {
             if latency_ps > 0 {
-                self.reconfig_latency_us.push(latency_ps as f64 / 1e6);
+                self.latency_samples.push(latency_ps as f64 / 1e6);
             }
         }
         let seq = self.seq;
@@ -746,78 +617,10 @@ impl TraceSink {
             events_emitted: self.seq,
             events_retained: self.events.len() as u64,
             counters: self.counters.clone(),
-            reconfig_latency_us: StatsSummary::from(&self.reconfig_latency_us.online_stats()),
-            reconfig_latency_p50_us: self.reconfig_latency_us.quantile(0.50),
-            reconfig_latency_p99_us: self.reconfig_latency_us.quantile(0.99),
+            reconfig_latency_us: StatsSummary::from(&self.latency_samples.online_stats()),
+            reconfig_latency_p50_us: self.latency_samples.quantile(0.50),
+            reconfig_latency_p99_us: self.latency_samples.quantile(0.99),
         }
-    }
-
-    /// Checkpoints the complete sink state: level, sequence counter,
-    /// counters, the raw latency samples (bit-exact floats), and the
-    /// retained tape. Restoring with [`TraceSink::restore_json`] and
-    /// continuing a run produces the same bytes as never pausing.
-    pub fn snapshot_json(&self) -> Json {
-        Json::Obj(vec![
-            ("level".to_string(), self.level.to_json()),
-            ("seq".to_string(), Json::U64(self.seq)),
-            ("counters".to_string(), self.counters.to_json()),
-            (
-                "latency_samples".to_string(),
-                Json::Arr(
-                    self.reconfig_latency_us
-                        .samples()
-                        .iter()
-                        .map(|s| s.to_json())
-                        .collect(),
-                ),
-            ),
-            (
-                "events".to_string(),
-                Json::Arr(self.events.iter().map(|r| r.to_json()).collect()),
-            ),
-        ])
-    }
-
-    /// Restores a checkpoint taken with [`TraceSink::snapshot_json`],
-    /// replacing everything this sink holds.
-    pub fn restore_json(&mut self, json: &Json) -> Result<(), JsonError> {
-        let level = TraceLevel::from_json(json.get("level").ok_or_else(|| JsonError {
-            msg: "trace snapshot missing `level`".to_string(),
-        })?)?;
-        let seq = json
-            .get("seq")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| JsonError {
-                msg: "trace snapshot missing `seq`".to_string(),
-            })?;
-        let counters =
-            TraceCounters::from_json(json.get("counters").ok_or_else(|| JsonError {
-                msg: "trace snapshot missing `counters`".to_string(),
-            })?)?;
-        let samples = json
-            .get("latency_samples")
-            .and_then(Json::as_array)
-            .ok_or_else(|| JsonError {
-                msg: "trace snapshot missing `latency_samples`".to_string(),
-            })?
-            .iter()
-            .map(f64::from_json)
-            .collect::<Result<Vec<f64>, JsonError>>()?;
-        let events = json
-            .get("events")
-            .and_then(Json::as_array)
-            .ok_or_else(|| JsonError {
-                msg: "trace snapshot missing `events`".to_string(),
-            })?
-            .iter()
-            .map(TraceRecord::from_json)
-            .collect::<Result<Vec<TraceRecord>, JsonError>>()?;
-        self.level = level;
-        self.seq = seq;
-        self.counters = counters;
-        self.reconfig_latency_us = SampleSeries::from_samples(samples);
-        self.events = events;
-        Ok(())
     }
 
     /// Drops everything recorded and restarts `seq` at 0; the level is
@@ -825,7 +628,7 @@ impl TraceSink {
     pub fn clear(&mut self) {
         self.seq = 0;
         self.counters = TraceCounters::default();
-        self.reconfig_latency_us = SampleSeries::new();
+        self.latency_samples = SampleSeries::new();
         self.events.clear();
     }
 }

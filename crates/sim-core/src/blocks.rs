@@ -107,12 +107,10 @@ impl<T: ToJson + FromJson + 'static, F: FnMut(T) + 'static> Component for Sink<T
     }
 
     fn restore_state(&mut self, state: &Json) -> Result<(), JsonError> {
-        self.consumed = u64::from_json(state.get("consumed").unwrap_or(&Json::Null))?;
-        self.phase = u32::from_json(state.get("phase").unwrap_or(&Json::Null))?;
-        self.last_cycle = u64::from_json(state.get("last_cycle").unwrap_or(&Json::Null))?;
-        self.input
-            .fifo()
-            .restore_json(state.get("input").unwrap_or(&Json::Null))
+        self.consumed = state.field("consumed")?;
+        self.phase = state.field("phase")?;
+        self.last_cycle = state.field("last_cycle")?;
+        self.input.fifo().restore_json(state.required("input")?)
     }
 }
 

@@ -69,6 +69,83 @@ struct QueueEntry {
     action: Action,
 }
 
+/// A clock domain's dynamic state in a checkpoint; the name is checked
+/// against the rebuilt engine, not restored.
+struct DomainState {
+    name: String,
+    hz: Frequency,
+    phase_origin: SimTime,
+    edges_since_origin: u64,
+    next_edge: u64,
+    total_edges: u64,
+    generation: u64,
+    gated: bool,
+}
+
+crate::impl_json_struct!(DomainState {
+    name,
+    hz,
+    phase_origin,
+    edges_since_origin,
+    next_edge,
+    total_edges,
+    generation,
+    gated
+});
+
+/// Checkpoint encoding: `{"t", "seq"}` plus `{"edge", "generation"}` for a
+/// clock edge or `{"deliver", "key", "a", "b"}` for an event delivery.
+impl ToJson for QueueEntry {
+    fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("t".to_string(), self.time.to_json()),
+            ("seq".to_string(), self.seq.to_json()),
+        ];
+        match self.action {
+            Action::Edge { domain, generation } => {
+                fields.push(("edge".to_string(), domain.0.to_json()));
+                fields.push(("generation".to_string(), generation.to_json()));
+            }
+            Action::Deliver { target, event } => {
+                fields.push(("deliver".to_string(), target.0.to_json()));
+                fields.push(("key".to_string(), event.key.to_json()));
+                fields.push(("a".to_string(), event.a.to_json()));
+                fields.push(("b".to_string(), event.b.to_json()));
+            }
+        }
+        Json::Obj(fields)
+    }
+}
+
+impl FromJson for QueueEntry {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let action = if v.get("edge").is_some() {
+            Action::Edge {
+                domain: ClockDomainId(v.field("edge")?),
+                generation: v.field("generation")?,
+            }
+        } else if v.get("deliver").is_some() {
+            Action::Deliver {
+                target: ComponentId(v.field("deliver")?),
+                event: Event {
+                    key: v.field("key")?,
+                    a: v.field("a")?,
+                    b: v.field("b")?,
+                },
+            }
+        } else {
+            return Err(JsonError {
+                msg: "queue entry is neither edge nor deliver".into(),
+            });
+        };
+        Ok(QueueEntry {
+            time: v.field("t")?,
+            seq: v.field("seq")?,
+            action,
+        })
+    }
+}
+
 impl Ord for QueueEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.time, self.seq).cmp(&(other.time, other.seq))
@@ -904,46 +981,19 @@ impl Engine {
         );
         let mut entries: Vec<&QueueEntry> = self.kernel.queue.iter().map(|Reverse(e)| e).collect();
         entries.sort();
-        let queue: Vec<Json> = entries
-            .into_iter()
-            .map(|e| {
-                let mut fields = vec![
-                    ("t".to_string(), e.time.to_json()),
-                    ("seq".to_string(), e.seq.to_json()),
-                ];
-                match e.action {
-                    Action::Edge { domain, generation } => {
-                        fields.push(("edge".to_string(), (domain.0 as u64).to_json()));
-                        fields.push(("generation".to_string(), generation.to_json()));
-                    }
-                    Action::Deliver { target, event } => {
-                        fields.push(("deliver".to_string(), (target.0 as u64).to_json()));
-                        fields.push(("key".to_string(), event.key.to_json()));
-                        fields.push(("a".to_string(), event.a.to_json()));
-                        fields.push(("b".to_string(), event.b.to_json()));
-                    }
-                }
-                Json::Obj(fields)
-            })
-            .collect();
-        let domains: Vec<Json> = self
+        let domains: Vec<DomainState> = self
             .kernel
             .domains
             .iter()
-            .map(|d| {
-                Json::Obj(vec![
-                    ("name".to_string(), d.name.to_json()),
-                    ("hz".to_string(), d.frequency.to_json()),
-                    ("phase_origin".to_string(), d.phase_origin.to_json()),
-                    (
-                        "edges_since_origin".to_string(),
-                        d.edges_since_origin.to_json(),
-                    ),
-                    ("next_edge".to_string(), d.next_edge.to_json()),
-                    ("total_edges".to_string(), d.total_edges.to_json()),
-                    ("generation".to_string(), d.generation.to_json()),
-                    ("gated".to_string(), d.gated.to_json()),
-                ])
+            .map(|d| DomainState {
+                name: d.name.clone(),
+                hz: d.frequency,
+                phase_origin: d.phase_origin,
+                edges_since_origin: d.edges_since_origin,
+                next_edge: d.next_edge,
+                total_edges: d.total_edges,
+                generation: d.generation,
+                gated: d.gated,
             })
             .collect();
         let components: Vec<Json> = self
@@ -969,8 +1019,8 @@ impl Engine {
                 "actions_dispatched".to_string(),
                 self.kernel.actions_dispatched.to_json(),
             ),
-            ("queue".to_string(), Json::Arr(queue)),
-            ("domains".to_string(), Json::Arr(domains)),
+            ("queue".to_string(), entries.to_json()),
+            ("domains".to_string(), domains.to_json()),
             ("components".to_string(), Json::Arr(components)),
         ])
     }
@@ -984,14 +1034,11 @@ impl Engine {
     /// the snapshotted engine.
     pub fn restore(&mut self, v: &Json) -> Result<(), JsonError> {
         let err = |msg: String| JsonError { msg };
-        let get = |key: &str| v.get(key).unwrap_or(&Json::Null);
-        let now = SimTime::from_json(get("now"))?;
-        let seq = u64::from_json(get("seq"))?;
-        let actions = u64::from_json(get("actions_dispatched"))?;
-
-        let domains = get("domains")
-            .as_array()
-            .ok_or_else(|| err("engine snapshot missing domains".into()))?;
+        let now: SimTime = v.field("now")?;
+        let seq: u64 = v.field("seq")?;
+        let actions: u64 = v.field("actions_dispatched")?;
+        let entries: Vec<QueueEntry> = v.field("queue")?;
+        let domains: Vec<DomainState> = v.field("domains")?;
         if domains.len() != self.kernel.domains.len() {
             return Err(err(format!(
                 "snapshot has {} clock domains, engine has {}",
@@ -999,9 +1046,10 @@ impl Engine {
                 self.kernel.domains.len()
             )));
         }
-        let components = get("components")
+        let components = v
+            .required("components")?
             .as_array()
-            .ok_or_else(|| err("engine snapshot missing components".into()))?;
+            .ok_or_else(|| err("components: expected array".into()))?;
         if components.len() != self.slots.len() {
             return Err(err(format!(
                 "snapshot has {} components, engine has {}",
@@ -1009,18 +1057,17 @@ impl Engine {
                 self.slots.len()
             )));
         }
-        // Validate all names before mutating anything.
+        // Validate all names and queue targets before mutating anything.
         for (i, dv) in domains.iter().enumerate() {
-            let name = String::from_json(dv.get("name").unwrap_or(&Json::Null))?;
-            if name != self.kernel.domains[i].name {
+            if dv.name != self.kernel.domains[i].name {
                 return Err(err(format!(
                     "clock domain {i} is '{}' in the snapshot but '{}' in the engine",
-                    name, self.kernel.domains[i].name
+                    dv.name, self.kernel.domains[i].name
                 )));
             }
         }
         for (i, cv) in components.iter().enumerate() {
-            let name = String::from_json(cv.get("name").unwrap_or(&Json::Null))?;
+            let name: String = cv.field("name")?;
             if name != self.slots[i].name {
                 return Err(err(format!(
                     "component {i} is '{}' in the snapshot but '{}' in the engine",
@@ -1028,44 +1075,19 @@ impl Engine {
                 )));
             }
         }
-
-        let queue_v = get("queue")
-            .as_array()
-            .ok_or_else(|| err("engine snapshot missing queue".into()))?;
-        let mut entries = Vec::with_capacity(queue_v.len());
-        for ev in queue_v {
-            let time = SimTime::from_json(ev.get("t").unwrap_or(&Json::Null))?;
-            let eseq = u64::from_json(ev.get("seq").unwrap_or(&Json::Null))?;
-            let action = if let Some(d) = ev.get("edge") {
-                let idx = u64::from_json(d)? as usize;
-                if idx >= self.kernel.domains.len() {
-                    return Err(err(format!("queued edge for unknown domain {idx}")));
+        for e in &entries {
+            match e.action {
+                Action::Edge { domain, .. } if domain.index() >= self.kernel.domains.len() => {
+                    return Err(err(format!("queued edge for unknown domain {}", domain.0)));
                 }
-                Action::Edge {
-                    domain: ClockDomainId(idx as u32),
-                    generation: u64::from_json(ev.get("generation").unwrap_or(&Json::Null))?,
+                Action::Deliver { target, .. } if target.index() >= self.slots.len() => {
+                    return Err(err(format!(
+                        "queued event for unknown component {}",
+                        target.0
+                    )));
                 }
-            } else if let Some(t) = ev.get("deliver") {
-                let idx = u64::from_json(t)? as usize;
-                if idx >= self.slots.len() {
-                    return Err(err(format!("queued event for unknown component {idx}")));
-                }
-                Action::Deliver {
-                    target: ComponentId(idx as u32),
-                    event: Event {
-                        key: u64::from_json(ev.get("key").unwrap_or(&Json::Null))?,
-                        a: u64::from_json(ev.get("a").unwrap_or(&Json::Null))?,
-                        b: u64::from_json(ev.get("b").unwrap_or(&Json::Null))?,
-                    },
-                }
-            } else {
-                return Err(err("queue entry is neither edge nor deliver".into()));
-            };
-            entries.push(QueueEntry {
-                time,
-                seq: eseq,
-                action,
-            });
+                _ => {}
+            }
         }
 
         // All decoded; now mutate.
@@ -1075,25 +1097,22 @@ impl Engine {
         self.kernel.stop_request = None;
         self.kernel.queue.clear();
         self.kernel.queue.extend(entries.into_iter().map(Reverse));
-        for (i, dv) in domains.iter().enumerate() {
-            let g = |key: &str| dv.get(key).unwrap_or(&Json::Null).clone();
-            let d = &mut self.kernel.domains[i];
-            d.frequency = Frequency::from_json(&g("hz"))?;
-            d.phase_origin = SimTime::from_json(&g("phase_origin"))?;
-            d.edges_since_origin = u64::from_json(&g("edges_since_origin"))?;
-            d.next_edge = u64::from_json(&g("next_edge"))?;
-            d.total_edges = u64::from_json(&g("total_edges"))?;
-            d.generation = u64::from_json(&g("generation"))?;
-            d.gated = bool::from_json(&g("gated"))?;
+        for (d, dv) in self.kernel.domains.iter_mut().zip(domains) {
+            d.frequency = dv.hz;
+            d.phase_origin = dv.phase_origin;
+            d.edges_since_origin = dv.edges_since_origin;
+            d.next_edge = dv.next_edge;
+            d.total_edges = dv.total_edges;
+            d.generation = dv.generation;
+            d.gated = dv.gated;
         }
         for (i, cv) in components.iter().enumerate() {
-            self.slots[i].due_cycle = u64::from_json(cv.get("due_cycle").unwrap_or(&Json::Null))?;
-            let state = cv.get("state").unwrap_or(&Json::Null);
+            self.slots[i].due_cycle = cv.field("due_cycle")?;
             self.slots[i]
                 .component
                 .as_mut()
                 .expect("restore during dispatch")
-                .restore_state(state)
+                .restore_state(cv.required("state")?)
                 .map_err(|e| err(format!("component '{}': {}", self.slots[i].name, e.msg)))?;
         }
         Ok(())

@@ -175,10 +175,7 @@ impl<T: ToJson> Fifo<T> {
     pub fn snapshot_json(&self) -> Json {
         let inner = self.inner.borrow();
         Json::Obj(vec![
-            (
-                "elements".to_string(),
-                Json::Arr(inner.buf.iter().map(ToJson::to_json).collect()),
-            ),
+            ("elements".to_string(), inner.buf.to_json()),
             ("stats".to_string(), inner.stats.to_json()),
         ])
     }
@@ -188,17 +185,8 @@ impl<T: FromJson> Fifo<T> {
     /// Replaces buffered contents and stats from a checkpoint taken by
     /// [`Fifo::snapshot_json`] on an identically constructed FIFO.
     pub fn restore_json(&self, v: &Json) -> Result<(), JsonError> {
-        let elements = v
-            .get("elements")
-            .and_then(Json::as_array)
-            .ok_or_else(|| JsonError {
-                msg: "fifo snapshot missing elements".to_string(),
-            })?;
-        let stats = FifoStats::from_json(v.get("stats").unwrap_or(&Json::Null))?;
-        let decoded: Vec<T> = elements
-            .iter()
-            .map(T::from_json)
-            .collect::<Result<_, _>>()?;
+        let decoded: Vec<T> = v.field("elements")?;
+        let stats: FifoStats = v.field("stats")?;
         let mut inner = self.inner.borrow_mut();
         if decoded.len() > inner.capacity {
             return Err(JsonError {

@@ -10,7 +10,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use crate::json::{FromJson, Json, JsonError, ToJson};
+use crate::json::{Json, JsonError, ToJson};
 use crate::time::SimTime;
 
 #[derive(Debug, Clone)]
@@ -147,10 +147,9 @@ impl IrqLine {
     /// Restores the line's level and counters from a checkpoint taken by
     /// [`IrqLine::snapshot_json`].
     pub fn restore_json(&self, v: &Json) -> Result<(), JsonError> {
-        let raised = bool::from_json(v.get("raised").unwrap_or(&Json::Null))?;
-        let raise_count = u64::from_json(v.get("raise_count").unwrap_or(&Json::Null))?;
-        let last_raised =
-            Option::<SimTime>::from_json(v.get("last_raised").unwrap_or(&Json::Null))?;
+        let raised = v.field("raised")?;
+        let raise_count = v.field("raise_count")?;
+        let last_raised = v.field("last_raised")?;
         let mut inner = self.bus.inner.borrow_mut();
         let line = &mut inner.lines[self.idx];
         line.raised = raised;

@@ -8,7 +8,10 @@
 //! * [`Json`] — a parsed JSON value (integers are kept exact in `u64`/`i64`
 //!   rather than forced through `f64`).
 //! * [`ToJson`] / [`FromJson`] — encode/decode traits with impls for the
-//!   primitives plus `Option<T>` and `Vec<T>`.
+//!   primitives plus `Option<T>`, `Vec<T>`, `VecDeque<T>` and `[T; N]`.
+//! * [`Json::field`] — decodes one key of an object; the only way state
+//!   decoders read a key.
+//! * [`to_hex`] / [`from_hex`] — the encoding of raw byte payloads.
 //! * [`impl_json_struct!`](crate::impl_json_struct) /
 //!   [`impl_json_enum!`](crate::impl_json_enum) — one-line derives for
 //!   field-for-field structs and unit-variant enums.
@@ -19,6 +22,7 @@
 //! decode as `f64` — by design, reports should never contain them).
 
 use core::fmt;
+use std::collections::VecDeque;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,6 +73,27 @@ impl Json {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+
+    /// Decodes the value under `key` of an object.
+    ///
+    /// A missing key decodes like `null`, so an `Option` field reads `None`;
+    /// for any other type a missing key is an error naming the key. A decode
+    /// error is prefixed with the key.
+    pub fn field<T: FromJson>(&self, key: &str) -> Result<T, JsonError> {
+        match self.get(key) {
+            Some(v) => T::from_json(v).map_err(|e| JsonError::new(format!("{key}: {}", e.msg))),
+            None => {
+                T::from_json(&Json::Null).map_err(|_| JsonError::new(format!("{key}: missing")))
+            }
+        }
+    }
+
+    /// The value under a key that must be present, for a nested state that
+    /// is restored in place rather than decoded into a new value.
+    pub fn required(&self, key: &str) -> Result<&Json, JsonError> {
+        self.get(key)
+            .ok_or_else(|| JsonError::new(format!("{key}: missing")))
     }
 
     /// The value as `u64` if it is a non-negative integer.
@@ -208,6 +233,35 @@ fn render_string(s: &str, out: &mut String) {
         }
     }
     out.push('"');
+}
+
+/// Encodes bytes as lowercase hex: the JSON form of a raw byte payload.
+pub fn to_hex(bytes: impl IntoIterator<Item = u8>) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let bytes = bytes.into_iter();
+    let mut out = String::with_capacity(2 * bytes.size_hint().0);
+    for b in bytes {
+        out.push(DIGITS[usize::from(b >> 4)] as char);
+        out.push(DIGITS[usize::from(b & 0xf)] as char);
+    }
+    out
+}
+
+/// Decodes text written by [`to_hex`].
+pub fn from_hex(text: &str) -> Result<Vec<u8>, JsonError> {
+    let digit = |c: u8| match c {
+        b'0'..=b'9' => Ok(c - b'0'),
+        b'a'..=b'f' => Ok(c - b'a' + 10),
+        b'A'..=b'F' => Ok(c - b'A' + 10),
+        _ => Err(JsonError::new(format!("bad hex digit '{}'", c as char))),
+    };
+    let pairs = text.as_bytes().chunks_exact(2);
+    if !pairs.remainder().is_empty() {
+        return Err(JsonError::new("hex payload has odd length"));
+    }
+    pairs
+        .map(|p| Ok(digit(p[0])? << 4 | digit(p[1])?))
+        .collect()
 }
 
 struct Parser<'a> {
@@ -579,6 +633,32 @@ impl<T: FromJson> FromJson for Vec<T> {
     }
 }
 
+impl<T: ToJson> ToJson for VecDeque<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+impl<T: FromJson> FromJson for VecDeque<T> {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        Vec::from_json(v).map(VecDeque::from)
+    }
+}
+
+impl<T: ToJson, const N: usize> ToJson for [T; N] {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+impl<T: FromJson, const N: usize> FromJson for [T; N] {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        Vec::from_json(v)?
+            .try_into()
+            .map_err(|_| JsonError::new(format!("expected an array of {N}")))
+    }
+}
+
 impl<T: ToJson> ToJson for &T {
     fn to_json(&self) -> Json {
         (*self).to_json()
@@ -616,16 +696,8 @@ macro_rules! impl_json_struct {
         impl $crate::json::FromJson for $ty {
             fn from_json(v: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
                 Ok($ty {
-                    $($field: $crate::json::FromJson::from_json(
-                        v.get(stringify!($field)).unwrap_or(&$crate::json::Json::Null),
-                    )
-                    .map_err(|e| $crate::json::JsonError {
-                        msg: format!(
-                            "{}.{}: {}",
-                            stringify!($ty),
-                            stringify!($field),
-                            e.msg
-                        ),
+                    $($field: v.field(stringify!($field)).map_err(|e| $crate::json::JsonError {
+                        msg: format!("{}.{}", stringify!($ty), e.msg),
                     })?,)+
                 })
             }
@@ -814,6 +886,26 @@ mod tests {
         assert_eq!(Level::from_json_str("\"Low\"").unwrap(), Level::Low);
         assert_eq!(Level::High.to_json_string(), "\"High\"");
         assert!(Level::from_json_str("\"Mid\"").is_err());
+    }
+
+    #[test]
+    fn field_names_the_key() {
+        let v = Json::parse(r#"{"a":1,"s":"x"}"#).unwrap();
+        assert_eq!(v.field::<u64>("a").unwrap(), 1);
+        assert_eq!(v.field::<Option<u64>>("b").unwrap(), None);
+        assert_eq!(v.field::<u64>("b").unwrap_err().msg, "b: missing");
+        assert_eq!(v.field::<u64>("s").unwrap_err().msg, "s: expected u64");
+        assert_eq!(v.required("b").unwrap_err().msg, "b: missing");
+        assert!(<[u8; 2]>::from_json_str("[1,2,3]").is_err());
+    }
+
+    #[test]
+    fn hex_round_trips_and_rejects_garbage() {
+        assert_eq!(to_hex([0x00, 0xab, 0x7f]), "00ab7f");
+        assert_eq!(from_hex("00AB7f").unwrap(), vec![0x00, 0xab, 0x7f]);
+        for bad in ["0", "0g", "+f", "µµ"] {
+            assert!(from_hex(bad).is_err(), "{bad:?} should not decode");
+        }
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! * [`fnv1a`] — the 64-bit FNV-1a hash, used to derive per-name seed
 //!   streams and to digest canonical JSON renderings.
 
+use crate::json::{FromJson, Json, JsonError, ToJson};
+
 /// SplitMix64: a fast 64-bit generator, mainly used to expand a single `u64`
 /// seed into the 256-bit state of [`Xoshiro256StarStar`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -152,25 +154,25 @@ impl Xoshiro256StarStar {
     pub fn fork(&mut self) -> Self {
         Self::seed_from_u64(self.next_u64())
     }
+}
 
-    /// The raw 256-bit generator state (for checkpointing).
-    pub const fn state(&self) -> [u64; 4] {
-        self.s
+/// Checkpoint encoding: the 256-bit state as an array of four words.
+impl ToJson for Xoshiro256StarStar {
+    fn to_json(&self) -> Json {
+        self.s.to_json()
     }
+}
 
-    /// Rebuilds a generator from a state captured by
-    /// [`Xoshiro256StarStar::state`]. An all-zero state is a fixed point of
-    /// the recurrence and is rejected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if every state word is zero.
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(
-            s.iter().any(|&w| w != 0),
-            "all-zero xoshiro state is invalid"
-        );
-        Xoshiro256StarStar { s }
+/// Rejects the all-zero state, a fixed point of the recurrence.
+impl FromJson for Xoshiro256StarStar {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let s = <[u64; 4]>::from_json(v)?;
+        if s == [0; 4] {
+            return Err(JsonError {
+                msg: "all-zero xoshiro state is invalid".to_string(),
+            });
+        }
+        Ok(Xoshiro256StarStar { s })
     }
 }
 
@@ -213,6 +215,16 @@ mod tests {
         let vc: Vec<u64> = (0..16).map(|_| c.next_u64()).collect();
         assert_eq!(va, vb);
         assert_ne!(va, vc);
+    }
+
+    #[test]
+    fn xoshiro_json_resumes_the_stream_and_rejects_the_zero_state() {
+        let mut a = Xoshiro256StarStar::seed_from_u64(9);
+        a.next_u64();
+        let mut b = Xoshiro256StarStar::from_json_str(&a.to_json_string()).unwrap();
+        assert_eq!(a.next_u64(), b.next_u64());
+        assert!(Xoshiro256StarStar::from_json_str("[0,0,0,0]").is_err());
+        assert!(Xoshiro256StarStar::from_json_str("[1,2,3]").is_err());
     }
 
     #[test]

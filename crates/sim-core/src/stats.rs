@@ -7,6 +7,7 @@
 
 use core::fmt;
 
+use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::time::SimTime;
 
 /// Streaming mean/variance/min/max accumulator (Welford's algorithm).
@@ -144,6 +145,32 @@ impl OnlineStats {
     }
 }
 
+/// Checkpoint encoding: `{"n", "mean", "m2", "min", "max"}`, with `min` and
+/// `max` `null` while empty.
+impl ToJson for OnlineStats {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("n".to_string(), self.n.to_json()),
+            ("mean".to_string(), self.mean.to_json()),
+            ("m2".to_string(), self.m2.to_json()),
+            ("min".to_string(), self.min().to_json()),
+            ("max".to_string(), self.max().to_json()),
+        ])
+    }
+}
+
+impl FromJson for OnlineStats {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        Ok(OnlineStats::from_raw_parts(
+            v.field("n")?,
+            v.field("mean")?,
+            v.field("m2")?,
+            v.field("min")?,
+            v.field("max")?,
+        ))
+    }
+}
+
 impl fmt::Display for OnlineStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -213,22 +240,6 @@ impl SampleSeries {
         Some(self.samples[rank - 1])
     }
 
-    /// The retained samples in their current storage order (for
-    /// checkpointing).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
-    /// Rebuilds a series from samples captured by [`SampleSeries::samples`].
-    /// Non-finite entries are dropped, matching [`SampleSeries::push`].
-    pub fn from_samples(samples: Vec<f64>) -> Self {
-        let mut s = SampleSeries::new();
-        for x in samples {
-            s.push(x);
-        }
-        s
-    }
-
     /// Streaming moments over the retained samples.
     pub fn online_stats(&self) -> OnlineStats {
         let mut s = OnlineStats::new();
@@ -236,6 +247,25 @@ impl SampleSeries {
             s.push(x);
         }
         s
+    }
+}
+
+/// Checkpoint encoding: the retained samples in their current storage
+/// order, as an array of floats.
+impl ToJson for SampleSeries {
+    fn to_json(&self) -> Json {
+        self.samples.to_json()
+    }
+}
+
+/// Non-finite entries are dropped, matching [`SampleSeries::push`].
+impl FromJson for SampleSeries {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let mut s = SampleSeries::new();
+        for x in Vec::<f64>::from_json(v)? {
+            s.push(x);
+        }
+        Ok(s)
     }
 }
 
@@ -473,7 +503,8 @@ impl BoundedQuantiles {
 
     /// Rebuilds a sketch from [`BoundedQuantiles::raw_parts`] state. A
     /// sketch that had spilled (`count > exact.len()`) is rebuilt in spilled
-    /// form even if `sparse_bins` happens to be empty.
+    /// form even if `sparse_bins` happens to be empty. `None` when a bin
+    /// index is out of range or a bin count overflows.
     pub fn from_raw_parts(
         limit: usize,
         count: u64,
@@ -481,22 +512,23 @@ impl BoundedQuantiles {
         max: Option<f64>,
         exact: Vec<f64>,
         sparse_bins: Vec<(u64, u64)>,
-    ) -> Self {
+    ) -> Option<Self> {
         let mut bins = Vec::new();
         if count > exact.len() as u64 || !sparse_bins.is_empty() {
             bins = vec![0u64; BQ_BINS];
             for (i, c) in sparse_bins {
-                bins[i as usize] += c;
+                let bin = bins.get_mut(usize::try_from(i).ok()?)?;
+                *bin = bin.checked_add(c)?;
             }
         }
-        BoundedQuantiles {
+        Some(BoundedQuantiles {
             limit,
             exact,
             bins,
             count,
             min: min.unwrap_or(f64::INFINITY),
             max: max.unwrap_or(f64::NEG_INFINITY),
-        }
+        })
     }
 }
 
@@ -769,7 +801,7 @@ mod tests {
         }
         let (c, mn, mx, xs, bins) = exact.raw_parts();
         assert!(bins.is_empty());
-        let back = BoundedQuantiles::from_raw_parts(64, c, mn, mx, xs, bins);
+        let back = BoundedQuantiles::from_raw_parts(64, c, mn, mx, xs, bins).unwrap();
         assert_eq!(back, exact);
         let mut spilled = BoundedQuantiles::new(8);
         for i in 0..100 {
@@ -777,7 +809,7 @@ mod tests {
         }
         let (c, mn, mx, xs, bins) = spilled.raw_parts();
         assert!(xs.is_empty() && !bins.is_empty());
-        let back = BoundedQuantiles::from_raw_parts(8, c, mn, mx, xs, bins);
+        let back = BoundedQuantiles::from_raw_parts(8, c, mn, mx, xs, bins).unwrap();
         assert_eq!(back, spilled);
         assert_eq!(back.quantile(0.99), spilled.quantile(0.99));
     }

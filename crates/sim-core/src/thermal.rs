@@ -31,7 +31,7 @@ use crate::component::{Component, NextWake};
 use crate::engine::EdgeCtx;
 use crate::impl_json_struct;
 use crate::irq::IrqLine;
-use crate::json::{FromJson, Json, JsonError, ToJson};
+use crate::json::{Json, JsonError, ToJson};
 
 /// Static configuration of a [`ThermalRc`] node. All quantities are scaled
 /// integers; converting from physical units happens once, at wiring time.
@@ -349,29 +349,14 @@ impl Component for ThermalRc {
             ("ticks".to_string(), self.ticks.to_json()),
             ("alarmed".to_string(), self.alarmed.to_json()),
             ("alarm_count".to_string(), self.alarm_count.to_json()),
-            (
-                "samples".to_string(),
-                Json::Arr(self.samples.iter().map(|s| s.to_json()).collect()),
-            ),
+            ("samples".to_string(), self.samples.to_json()),
             ("alarm_irq".to_string(), self.alarm_irq.snapshot_json()),
         ])
     }
 
     fn restore_state(&mut self, state: &Json) -> Result<(), JsonError> {
-        fn req<'a>(json: &'a Json, key: &str) -> Result<&'a Json, JsonError> {
-            json.get(key).ok_or_else(|| JsonError {
-                msg: format!("thermal snapshot missing `{key}`"),
-            })
-        }
-        let samples = req(state, "samples")?
-            .as_array()
-            .ok_or_else(|| JsonError {
-                msg: "thermal snapshot `samples` is not an array".to_string(),
-            })?
-            .iter()
-            .map(ThermalSample::from_json)
-            .collect::<Result<Vec<ThermalSample>, JsonError>>()?;
-        let countdown = u64::from_json(req(state, "countdown")?)?;
+        let samples = state.field("samples")?;
+        let countdown = state.field("countdown")?;
         if countdown == 0 || countdown > self.cfg.tick_cycles {
             return Err(JsonError {
                 msg: format!(
@@ -380,19 +365,19 @@ impl Component for ThermalRc {
                 ),
             });
         }
-        self.temp_uc = i64::from_json(req(state, "temp_uc")?)?;
-        self.p_ext_uw = u64::from_json(req(state, "p_ext_uw")?)?;
-        self.leak_ref_uw = u64::from_json(req(state, "leak_ref_uw")?)?;
-        self.cfg.env_mc = i64::from_json(req(state, "env_mc")?)?;
-        self.soak_delta_mc = i64::from_json(req(state, "soak_delta_mc")?)?;
-        self.soak_until_tick = u64::from_json(req(state, "soak_until_tick")?)?;
+        self.temp_uc = state.field("temp_uc")?;
+        self.p_ext_uw = state.field("p_ext_uw")?;
+        self.leak_ref_uw = state.field("leak_ref_uw")?;
+        self.cfg.env_mc = state.field("env_mc")?;
+        self.soak_delta_mc = state.field("soak_delta_mc")?;
+        self.soak_until_tick = state.field("soak_until_tick")?;
         self.countdown = countdown;
-        self.last_cycle = u64::from_json(req(state, "last_cycle")?)?;
-        self.ticks = u64::from_json(req(state, "ticks")?)?;
-        self.alarmed = bool::from_json(req(state, "alarmed")?)?;
-        self.alarm_count = u64::from_json(req(state, "alarm_count")?)?;
+        self.last_cycle = state.field("last_cycle")?;
+        self.ticks = state.field("ticks")?;
+        self.alarmed = state.field("alarmed")?;
+        self.alarm_count = state.field("alarm_count")?;
         self.samples = samples;
-        self.alarm_irq.restore_json(req(state, "alarm_irq")?)
+        self.alarm_irq.restore_json(state.required("alarm_irq")?)
     }
 }
 

@@ -188,3 +188,50 @@ fn quarantine_propagation_keeps_the_fleet_serving() {
         "surviving boards must absorb the traffic: {r:?}"
     );
 }
+
+/// The value under `path` (object keys, or array indices as decimal text).
+fn node_mut<'a>(json: &'a mut Json, path: &[&str]) -> &'a mut Json {
+    path.iter().fold(json, |node, key| match node {
+        Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
+        Json::Arr(items) => &mut items[key.parse::<usize>().unwrap()],
+        other => panic!("no `{key}` under {other:?}"),
+    })
+}
+
+/// Checkpoint integers wider than `u32` used to be truncated on resume:
+/// a last board with `"id": 2^32` overwrote board 0 and resumed `Ok`.
+/// Every such value must now be rejected.
+#[test]
+fn resume_rejects_u32_overflow_instead_of_truncating() {
+    let cfg = || FleetConfig {
+        boards: 4,
+        shards: 2,
+        tenants: 20,
+        catalog_entries: 8,
+        size_classes: 2,
+        traffic: TrafficConfig {
+            target_requests: 200,
+            duration: SimDuration::from_millis(20),
+            ..TrafficConfig::default()
+        },
+        epoch: SimDuration::from_millis(5),
+        ..FleetConfig::default()
+    };
+    let mut run = FleetRun::new(cfg());
+    run.step_epoch(&ParallelExecutor::serial());
+    let ckpt = run.checkpoint();
+    assert!(FleetRun::resume(cfg(), &ckpt).is_ok());
+    let wide = Json::U64(1 << 32);
+    for path in [
+        &["payload", "boards", "3", "id"][..],
+        &["payload", "boards", "0", "strikes"],
+        &["payload", "versions", "0"],
+    ] {
+        let mut bad = ckpt.clone();
+        *node_mut(&mut bad, path) = wide.clone();
+        assert!(
+            FleetRun::resume(cfg(), &bad).is_err(),
+            "{path:?} = 2^32 must not resume"
+        );
+    }
+}
