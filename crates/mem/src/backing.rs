@@ -10,6 +10,7 @@ use pdr_sim_core::json::{from_hex, to_hex, Json, JsonError, ToJson};
 /// Page granule for sparse checkpoint serialisation. Backings are large
 /// (16 MB DRAM) but mostly zero; only pages with set bits are recorded.
 const SNAP_PAGE: usize = 4096;
+const ZERO_PAGE: [u8; SNAP_PAGE] = [0; SNAP_PAGE];
 
 /// One non-zero page of a checkpoint, hex-encoded.
 struct Page {
@@ -122,7 +123,9 @@ impl Backing {
         let inner = self.inner.borrow();
         let mut pages = Vec::new();
         for (idx, chunk) in inner.bytes.chunks(SNAP_PAGE).enumerate() {
-            if chunk.iter().any(|&b| b != 0) {
+            // Slice equality on bytes is a `memcmp`, several times faster
+            // than a byte loop over a mostly zero 16 MB store.
+            if chunk != &ZERO_PAGE[..chunk.len()] {
                 pages.push(Page {
                     page: idx,
                     hex: to_hex(chunk.iter().copied()),
