@@ -4,16 +4,19 @@
 //! component graphs (random wake patterns, cross-domain clocks, IRQ
 //! storms, mid-run reprogramming and gating).
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use pdr_testkit::{
-    any_u64, bools, f64s, indices, property, select, tuple2, tuple4, u32s, u64s, usizes, vec_of,
-    Config, Gen,
+    any_u64, bools, f64s, indices, property, select, tuple2, tuple3, tuple4, u32s, u64s, usizes,
+    vec_of, Config, Gen,
 };
 
 use pdr_lab::fabric::{ColumnKind, Geometry};
 use pdr_lab::sim::stats::OnlineStats;
 use pdr_lab::sim::{
-    fifo_channel, Component, ComponentId, EdgeCtx, Engine, EngineStrategy, Event, Frequency,
-    NextWake, SimDuration,
+    fifo_channel, Component, ComponentId, Consumer, EdgeCtx, Engine, EngineStrategy, Event,
+    Frequency, NextWake, Producer, SimDuration,
 };
 
 fn cfg() -> Config {
@@ -172,6 +175,24 @@ fn mix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// What a component did at an instant: work on a clock edge, or an event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Work {
+    Edge,
+    Event,
+}
+
+/// `(time_ps, component, what)` for every edge or event on which a
+/// component did observable work, in dispatch order. Two kernels that
+/// agree on it agree on the tie order of same-instant work across domains,
+/// which end-of-run summaries cannot see.
+type WorkLog = Rc<RefCell<Vec<WorkEntry>>>;
+type WorkEntry = (u64, u64, Work);
+
+fn log_work(log: &WorkLog, ctx: &EdgeCtx<'_>, component: u64, what: Work) {
+    log.borrow_mut().push((ctx.now().as_ps(), component, what));
+}
+
 /// A randomly parameterised clocked component: it does observable work on a
 /// random cycle pattern, launches decaying event chains at other nodes
 /// (IRQ storms, cross-domain), optionally goes permanently idle after a
@@ -199,10 +220,18 @@ struct ChaosNode {
     hash: u64,
     works: u64,
     events: u64,
+    log: WorkLog,
 }
 
 impl ChaosNode {
-    fn new(id: u64, periods: Vec<u64>, quota: Option<u64>, honest: bool, storm: u64) -> Self {
+    fn new(
+        id: u64,
+        periods: Vec<u64>,
+        quota: Option<u64>,
+        honest: bool,
+        storm: u64,
+        log: WorkLog,
+    ) -> Self {
         assert!(!periods.is_empty());
         ChaosNode {
             name: format!("chaos{id}"),
@@ -218,6 +247,7 @@ impl ChaosNode {
             hash: mix(id),
             works: 0,
             events: 0,
+            log,
         }
     }
 
@@ -243,6 +273,7 @@ impl Component for ChaosNode {
             return; // a no-op edge the skipping kernel may fold
         }
         self.works += 1;
+        log_work(&self.log, ctx, self.id, Work::Edge);
         self.hash = mix(self.hash ^ cycle);
         let p = self.periods[self.pi % self.periods.len()].max(1);
         self.pi += 1;
@@ -260,6 +291,7 @@ impl Component for ChaosNode {
         let cycle = ctx.cycle();
         self.catch_up(cycle);
         self.events += 1;
+        log_work(&self.log, ctx, self.id, Work::Event);
         self.hash = mix(self.hash ^ event.a.wrapping_mul(31) ^ event.b ^ cycle);
         // The storm perturbs the wake schedule: pull the next work edge
         // closer, as an interrupt handler re-arming a timer would.
@@ -301,6 +333,10 @@ impl Component for ChaosNode {
 /// `(domain pick, periods, storm budget, (honest, quota draw))`.
 type NodeSpec = (usize, Vec<u64>, u64, (bool, u64));
 
+/// Everything a chaos run can observe: per-node summaries, the work log,
+/// final simulated time and the dispatched-action count.
+type ChaosOutcome = (Vec<(u64, u64, u64)>, Vec<WorkEntry>, u64, u64);
+
 fn run_chaos(
     strategy: EngineStrategy,
     freqs: &[u64],
@@ -308,8 +344,9 @@ fn run_chaos(
     segments: &[u64],
     reprogram: bool,
     gate: bool,
-) -> (Vec<(u64, u64, u64)>, u64, u64) {
+) -> ChaosOutcome {
     let mut e = Engine::with_strategy(strategy);
+    let log = WorkLog::default();
     let domains: Vec<_> = freqs
         .iter()
         .enumerate()
@@ -320,7 +357,14 @@ fn run_chaos(
         .enumerate()
         .map(|(i, (dom, periods, storm, (honest, quota_draw)))| {
             let quota = (*quota_draw < 8).then_some(*quota_draw);
-            let node = ChaosNode::new(i as u64, periods.clone(), quota, *honest, *storm);
+            let node = ChaosNode::new(
+                i as u64,
+                periods.clone(),
+                quota,
+                *honest,
+                *storm,
+                log.clone(),
+            );
             e.add_component(node, Some(domains[dom % domains.len()]))
         })
         .collect();
@@ -353,7 +397,8 @@ fn run_chaos(
         .iter()
         .map(|&id| e.component::<ChaosNode>(id).summary())
         .collect();
-    (summaries, e.now().as_ps(), e.actions_dispatched())
+    let work = log.borrow().clone();
+    (summaries, work, e.now().as_ps(), e.actions_dispatched())
 }
 
 property! {
@@ -385,7 +430,202 @@ property! {
         let tick = run_chaos(EngineStrategy::Tick, &freqs, &nodes, &segments, reprogram, gate);
         let skip = run_chaos(EngineStrategy::EventSkip, &freqs, &nodes, &segments, reprogram, gate);
         assert_eq!(tick.0, skip.0, "per-node observable state diverged");
-        assert_eq!(tick.1, skip.1, "final simulated time diverged");
-        assert_eq!(tick.2, skip.2, "dispatched-action accounting diverged");
+        assert_eq!(tick.1, skip.1, "work order diverged");
+        assert_eq!(tick.2, skip.2, "final simulated time diverged");
+        assert_eq!(tick.3, skip.3, "dispatched-action accounting diverged");
     }
+
+    /// Long sleepers woken across domains: a feeder pushes bursts into the
+    /// FIFOs of sleepers that declare `Idle` between bursts, each sleeper on
+    /// its own clock domain, and a busy chaos node keeps real edges queued
+    /// around them. On a shared edge grid every push lands on an instant
+    /// where the sleepers also have an edge, so whether a sleeper sees the
+    /// beat on that edge or the next depends only on the tie order of
+    /// same-instant edges; co-prime grids share an instant every few edges.
+    /// Both domain registration orders are covered. The work logs must
+    /// match the tick oracle entry for entry.
+    fn sleepers_woken_by_fifo_pushes_match_tick(
+        grid in select(vec![(100u64, 100u64), (280, 280), (200, 300), (300, 200), (100, 133)]),
+        shape in tuple3(usizes(1..4), bools(), bools()),
+        feed in tuple3(u64s(2..400), u64s(1..4), u64s(1..9)),
+        segments in vec_of(u64s(1..30), 1..4),
+    ) {
+        let (sleepers, feeder_first, busy) = shape;
+        let run = |strategy| {
+            run_sleepers(strategy, grid, sleepers, feeder_first, busy, feed, &segments)
+        };
+        let tick = run(EngineStrategy::Tick);
+        let skip = run(EngineStrategy::EventSkip);
+        assert_eq!(tick.1, skip.1, "work order diverged");
+        assert_eq!(tick, skip, "clocks, time or action accounting diverged");
+    }
+}
+
+/// Pushes `burst` beats, round-robin over the sleepers' FIFOs, on every
+/// `gap`-th edge of its domain, and counts the pings sleepers send back.
+struct Feeder {
+    gap: u64,
+    burst: u64,
+    bursts_left: u64,
+    outputs: Vec<Producer<u64>>,
+    next_out: usize,
+    last_cycle: u64,
+    log: WorkLog,
+}
+
+impl Component for Feeder {
+    fn name(&self) -> &str {
+        "feeder"
+    }
+
+    fn on_clock_edge(&mut self, ctx: &mut EdgeCtx<'_>) {
+        let cycle = ctx.cycle();
+        self.last_cycle = cycle;
+        if self.bursts_left == 0 || !cycle.is_multiple_of(self.gap) {
+            return;
+        }
+        self.bursts_left -= 1;
+        log_work(&self.log, ctx, 0, Work::Edge);
+        for _ in 0..self.burst {
+            let out = &self.outputs[self.next_out % self.outputs.len()];
+            self.next_out += 1;
+            let _ = out.try_push(cycle);
+        }
+    }
+
+    fn on_event(&mut self, ctx: &mut EdgeCtx<'_>, _event: Event) {
+        log_work(&self.log, ctx, 0, Work::Event);
+    }
+
+    fn next_wake(&self, now_cycle: u64) -> NextWake {
+        if self.bursts_left == 0 {
+            NextWake::Idle
+        } else {
+            NextWake::In(self.gap - now_cycle % self.gap)
+        }
+    }
+
+    fn catch_up(&mut self, cycle: u64) {
+        self.last_cycle = self.last_cycle.max(cycle);
+    }
+}
+
+/// Consumes one beat per edge and sleeps (`Idle`) while its FIFO is empty;
+/// on draining a burst it pings the feeder with a cross-domain event.
+struct Sleeper {
+    id: u64,
+    input: Consumer<u64>,
+    feeder: Option<ComponentId>,
+    consumed: u64,
+    log: WorkLog,
+}
+
+impl Component for Sleeper {
+    fn name(&self) -> &str {
+        "sleeper"
+    }
+
+    fn on_clock_edge(&mut self, ctx: &mut EdgeCtx<'_>) {
+        let Some(beat) = self.input.pop() else {
+            return;
+        };
+        self.consumed += 1;
+        log_work(&self.log, ctx, self.id, Work::Edge);
+        if let (true, Some(feeder)) = (self.input.is_empty(), self.feeder) {
+            let delay = SimDuration::from_ps(1 + (beat * 7 + self.id * 13) % 20_000);
+            ctx.schedule(delay, feeder, Event::with_arg(1, self.id));
+        }
+    }
+
+    fn next_wake(&self, _now_cycle: u64) -> NextWake {
+        if self.input.is_empty() {
+            NextWake::Idle
+        } else {
+            NextWake::EveryCycle
+        }
+    }
+}
+
+fn run_sleepers(
+    strategy: EngineStrategy,
+    (feeder_mhz, sleeper_mhz): (u64, u64),
+    sleepers: usize,
+    feeder_first: bool,
+    busy: bool,
+    (gap, burst, bursts): (u64, u64, u64),
+    segments: &[u64],
+) -> (Vec<u64>, Vec<WorkEntry>, u64, u64) {
+    let mut e = Engine::with_strategy(strategy);
+    let log = WorkLog::default();
+    let add_sleeper_domains = |e: &mut Engine| -> Vec<_> {
+        (0..sleepers)
+            .map(|i| e.add_clock_domain(&format!("sleep{i}"), Frequency::from_mhz(sleeper_mhz)))
+            .collect()
+    };
+    let (feed_clk, sleep_clks) = if feeder_first {
+        let f = e.add_clock_domain("feed", Frequency::from_mhz(feeder_mhz));
+        (f, add_sleeper_domains(&mut e))
+    } else {
+        let s = add_sleeper_domains(&mut e);
+        (
+            e.add_clock_domain("feed", Frequency::from_mhz(feeder_mhz)),
+            s,
+        )
+    };
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..sleepers)
+        .map(|i| fifo_channel::<u64>(&format!("beats{i}"), 64))
+        .unzip();
+    let feeder = Feeder {
+        gap,
+        burst,
+        bursts_left: bursts,
+        outputs: txs,
+        next_out: 0,
+        last_cycle: 0,
+        log: log.clone(),
+    };
+    // Components register in the same order as their domains.
+    let add_sleepers = |e: &mut Engine| -> Vec<ComponentId> {
+        rxs.into_iter()
+            .zip(&sleep_clks)
+            .enumerate()
+            .map(|(i, (rx, &clk))| {
+                let sleeper = Sleeper {
+                    id: i as u64 + 1,
+                    input: rx,
+                    feeder: None,
+                    consumed: 0,
+                    log: log.clone(),
+                };
+                e.add_component(sleeper, Some(clk))
+            })
+            .collect()
+    };
+    let (fid, sleeper_ids) = if feeder_first {
+        let fid = e.add_component(feeder, Some(feed_clk));
+        (fid, add_sleepers(&mut e))
+    } else {
+        let ids = add_sleepers(&mut e);
+        (e.add_component(feeder, Some(feed_clk)), ids)
+    };
+    for &id in &sleeper_ids {
+        e.component_mut::<Sleeper>(id).feeder = Some(fid);
+    }
+    if busy {
+        // Real edges on a third grid between the sleepers' edges.
+        let clk = e.add_clock_domain("busy", Frequency::from_mhz(333));
+        let node = ChaosNode::new(99, vec![1, 2, 3], None, true, 0, log.clone());
+        e.add_component(node, Some(clk));
+    }
+    for &us in segments {
+        e.run_for(SimDuration::from_micros(us));
+    }
+    let mut observed: Vec<u64> = sleeper_ids
+        .iter()
+        .map(|&id| e.component::<Sleeper>(id).consumed)
+        .collect();
+    observed.extend(sleep_clks.iter().map(|&d| e.clock_info(d).total_edges));
+    observed.push(e.clock_info(feed_clk).total_edges);
+    let work = log.borrow().clone();
+    (observed, work, e.now().as_ps(), e.actions_dispatched())
 }

@@ -11,6 +11,7 @@
 use pdr_lab::fabric::AspKind;
 use pdr_lab::pdr::snapshot;
 use pdr_lab::pdr::{SystemConfig, TraceLevel, ZynqPdrSystem};
+use pdr_lab::sim::json::Json;
 use pdr_lab::sim::{EngineStrategy, Frequency, SimDuration};
 
 /// Drives the system through every class of snapshot-relevant state:
@@ -167,4 +168,64 @@ fn checkpoint_bytes_are_pinned() {
         (9955, 0x645e9e952cad5d53),   // fleet after one epoch
     ];
     assert_eq!(got, pinned);
+}
+
+/// Every path at which two JSON trees differ, as `a.b[3].c`.
+fn diff_paths(a: &Json, b: &Json, path: &str, out: &mut Vec<String>) {
+    match (a, b) {
+        (Json::Obj(x), Json::Obj(y)) if x.len() == y.len() => {
+            for ((ka, va), (kb, vb)) in x.iter().zip(y) {
+                if ka != kb {
+                    out.push(format!("{path}.{{{ka}|{kb}}}"));
+                } else {
+                    diff_paths(va, vb, &format!("{path}.{ka}"), out);
+                }
+            }
+        }
+        (Json::Arr(x), Json::Arr(y)) if x.len() == y.len() => {
+            for (i, (va, vb)) in x.iter().zip(y).enumerate() {
+                diff_paths(va, vb, &format!("{path}[{i}]"), out);
+            }
+        }
+        _ if a == b => {}
+        _ => out.push(path.to_string()),
+    }
+}
+
+/// Whether a differing path is one the kernels may legitimately disagree
+/// on: a slot's wake bookkeeping (`due_cycle`), or a register file's read
+/// counter, which event-skip's `next_wake` polls inflate.
+fn kernel_private(path: &str) -> bool {
+    let Some(rest) = path.strip_prefix(".payload.engine.components[") else {
+        return false;
+    };
+    let Some((index, field)) = rest.split_once(']') else {
+        return false;
+    };
+    index.parse::<usize>().is_ok() && matches!(field, ".due_cycle" | ".state.regs.reads")
+}
+
+#[test]
+fn both_engines_checkpoint_the_same_tree() {
+    // Queue entries and their sequence numbers, clock domains (including
+    // partitions idle for the whole warm-up), action counts and every
+    // component's state must match the tick oracle; only kernel-private
+    // bookkeeping may differ.
+    let take = |strategy| {
+        let mut sys = ZynqPdrSystem::new(config(strategy));
+        warm_up(&mut sys);
+        snapshot::take(&sys)
+    };
+    let mut differing = Vec::new();
+    diff_paths(
+        &take(EngineStrategy::EventSkip),
+        &take(EngineStrategy::Tick),
+        "",
+        &mut differing,
+    );
+    let unexpected: Vec<&String> = differing.iter().filter(|p| !kernel_private(p)).collect();
+    assert!(
+        unexpected.is_empty(),
+        "checkpoints differ across kernels at {unexpected:?}"
+    );
 }
