@@ -8,7 +8,7 @@
 //! re-locking.
 
 use crate::component::ComponentId;
-use crate::time::{Frequency, SimTime};
+use crate::time::{Frequency, SimTime, PS_PER_SEC};
 
 /// Identifies a clock domain registered with an [`Engine`](crate::Engine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -35,6 +35,25 @@ pub struct ClockDomainInfo {
     pub gated: bool,
 }
 
+/// How a clock domain's edges were accounted for, counted by the engine
+/// that owns it (see [`KernelCounters`](crate::KernelCounters)).
+///
+/// Under [`EngineStrategy::Tick`](crate::EngineStrategy::Tick) every edge is
+/// popped and dispatched. Under event-skip, `dispatched + folded + parked`
+/// equals the edges the tick engine would have dispatched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DomainCounters {
+    /// Entries of this domain popped off the event queue, stale ones included.
+    pub pops: u64,
+    /// Edges on which the members ran.
+    pub dispatched: u64,
+    /// Edges popped while every member slept: accounted without calling
+    /// the members, after which the domain parks.
+    pub folded: u64,
+    /// Edges that fired while the domain was parked, off the queue.
+    pub parked: u64,
+}
+
 /// Internal clock-domain state (owned by the engine).
 #[derive(Debug)]
 pub(crate) struct ClockDomain {
@@ -55,6 +74,7 @@ pub(crate) struct ClockDomain {
     pub(crate) gated: bool,
     /// Components receiving `on_clock_edge`, in registration order.
     pub(crate) members: Vec<ComponentId>,
+    pub(crate) counters: DomainCounters,
 }
 
 impl ClockDomain {
@@ -69,12 +89,51 @@ impl ClockDomain {
             generation: 0,
             gated: false,
             members: Vec::new(),
+            counters: DomainCounters::default(),
         }
+    }
+
+    /// Time of origin-relative edge `n`.
+    pub(crate) fn edge_time(&self, n: u64) -> SimTime {
+        self.phase_origin + self.frequency.edge_offset(n)
     }
 
     /// Time of the next pending edge.
     pub(crate) fn next_edge_time(&self) -> SimTime {
-        self.phase_origin + self.frequency.edge_offset(self.next_edge)
+        self.edge_time(self.next_edge)
+    }
+
+    /// Fires the next `k` edges: the counter updates of `k` tick dispatches.
+    pub(crate) fn advance(&mut self, k: u64) {
+        debug_assert!(k > 0);
+        self.edges_since_origin = self.next_edge + k - 1;
+        self.next_edge += k;
+        self.total_edges += k;
+    }
+
+    /// How many edges, from the next pending one on, fire strictly before
+    /// `t`. Inverts [`Frequency::edge_offset`]'s truncating division in
+    /// 128-bit arithmetic to find the last such edge index.
+    pub(crate) fn edges_before(&self, t: SimTime) -> u64 {
+        if t <= self.phase_origin {
+            return 0;
+        }
+        let y = (t - self.phase_origin).as_ps() as u128; // edge_offset(e) < y
+        let e_max = (y * self.frequency.as_hz() as u128 - 1) / PS_PER_SEC as u128;
+        let e_max = u64::try_from(e_max).unwrap_or(u64::MAX);
+        e_max.saturating_add(1).saturating_sub(self.next_edge)
+    }
+
+    /// Whether every edge of `other` falls on an edge of this domain and
+    /// vice versa: same frequency, and phase origins a whole number of
+    /// periods apart.
+    pub(crate) fn same_grid(&self, other: &ClockDomain) -> bool {
+        let hz = self.frequency.as_hz() as u128;
+        let gap = self
+            .phase_origin
+            .as_ps()
+            .abs_diff(other.phase_origin.as_ps()) as u128;
+        self.frequency == other.frequency && (gap * hz).is_multiple_of(PS_PER_SEC as u128)
     }
 
     /// Re-programs the frequency at instant `now`; the next edge fires one
@@ -133,6 +192,39 @@ mod tests {
         d.set_frequency(now, Frequency::from_mhz(200));
         assert_eq!(d.generation, gen_before + 1);
         assert_eq!(d.next_edge_time(), now + SimDuration::from_nanos(5));
+    }
+
+    #[test]
+    fn edges_before_inverts_edge_time() {
+        for mhz in [1, 7, 100, 280, 333, 999] {
+            let mut d = ClockDomain::new("clk".into(), Frequency::from_mhz(mhz));
+            d.set_frequency(SimTime::from_ps(12_345), Frequency::from_mhz(mhz));
+            d.advance(5);
+            for n in d.next_edge..d.next_edge + 50 {
+                let t = d.edge_time(n);
+                assert_eq!(d.edges_before(t), n - d.next_edge, "{mhz} MHz edge {n}");
+                assert_eq!(
+                    d.edges_before(t + SimDuration::from_ps(1)),
+                    n - d.next_edge + 1
+                );
+            }
+            assert_eq!(d.edges_before(SimTime::ZERO), 0);
+        }
+    }
+
+    #[test]
+    fn same_grid_needs_whole_periods_between_origins() {
+        let at = |mhz, origin_ps| {
+            let mut d = ClockDomain::new("clk".into(), Frequency::from_mhz(mhz));
+            d.set_frequency(SimTime::from_ps(origin_ps), Frequency::from_mhz(mhz));
+            d
+        };
+        assert!(at(100, 0).same_grid(&at(100, 30_000)));
+        assert!(!at(100, 0).same_grid(&at(100, 5_000)));
+        assert!(!at(100, 0).same_grid(&at(200, 0)));
+        // 300 MHz: three periods are exactly 10 ns, one is not whole.
+        assert!(at(300, 0).same_grid(&at(300, 10_000)));
+        assert!(!at(300, 0).same_grid(&at(300, 3_333)));
     }
 
     #[test]

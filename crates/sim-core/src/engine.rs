@@ -13,7 +13,7 @@ use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::clock::{ClockDomain, ClockDomainId, ClockDomainInfo};
+use crate::clock::{ClockDomain, ClockDomainId, ClockDomainInfo, DomainCounters};
 use crate::component::{Component, ComponentId, Event, NextWake};
 use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::time::{Frequency, SimDuration, SimTime, PS_PER_SEC};
@@ -27,8 +27,9 @@ use crate::time::{Frequency, SimDuration, SimTime, PS_PER_SEC};
 pub enum EngineStrategy {
     /// Dispatch every rising edge of every running clock domain.
     Tick,
-    /// Fold spans where every member of a domain is quiescent (per
-    /// [`Component::next_wake`]) into O(1) accounting updates.
+    /// Take a clock domain off the event queue ("park" it) while every
+    /// member is quiescent (per [`Component::next_wake`]), and fire its
+    /// edges in closed form until a member has work.
     EventSkip,
 }
 
@@ -146,6 +147,16 @@ impl FromJson for QueueEntry {
     }
 }
 
+impl QueueEntry {
+    /// The clock domain of an edge entry.
+    fn edge_domain(&self) -> Option<ClockDomainId> {
+        match self.action {
+            Action::Edge { domain, .. } => Some(domain),
+            Action::Deliver { .. } => None,
+        }
+    }
+}
+
 impl Ord for QueueEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.time, self.seq).cmp(&(other.time, other.seq))
@@ -181,15 +192,33 @@ pub struct RunResult {
     pub actions: u64,
 }
 
+/// Deterministic counts of how the kernel advanced, returned by
+/// [`Engine::kernel_counters`]: plain integers, counted on every run, never
+/// checkpointed. They depend only on the simulated work, so a test can pin
+/// them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KernelCounters {
+    /// Entries popped off the event queue: live and stale edges and event
+    /// deliveries. A parked domain's edges pop nothing.
+    pub queue_pops: u64,
+    /// Per clock domain, in registration order, with the domain's name.
+    pub domains: Vec<(String, DomainCounters)>,
+}
+
 /// Scheduler state shared with components during dispatch.
 #[derive(Debug)]
 struct Kernel {
     queue: BinaryHeap<Reverse<QueueEntry>>,
+    /// The next edge of every parked domain, ascending by `(time, seq)`:
+    /// exactly the entry the tick engine holds in its queue for that domain.
+    /// Event-skip only (see `docs/KERNEL.md` §3).
+    parked: Vec<QueueEntry>,
     now: SimTime,
     seq: u64,
     domains: Vec<ClockDomain>,
     stop_request: Option<u64>,
     actions_dispatched: u64,
+    queue_pops: u64,
 }
 
 impl Kernel {
@@ -199,35 +228,118 @@ impl Kernel {
         self.queue.push(Reverse(QueueEntry { time, seq, action }));
     }
 
-    fn schedule_edge(&mut self, id: ClockDomainId) {
+    /// The domain's next edge as a queue entry, taking the next sequence
+    /// number.
+    fn next_edge_entry(&mut self, id: ClockDomainId) -> QueueEntry {
         let d = &self.domains[id.index()];
-        if d.gated {
-            return;
-        }
-        let t = d.next_edge_time();
-        let generation = d.generation;
-        self.push(
-            t,
-            Action::Edge {
+        let entry = QueueEntry {
+            time: d.next_edge_time(),
+            seq: self.seq,
+            action: Action::Edge {
                 domain: id,
-                generation,
+                generation: d.generation,
             },
-        );
+        };
+        self.seq += 1;
+        entry
+    }
+
+    fn schedule_edge(&mut self, id: ClockDomainId) {
+        if !self.domains[id.index()].gated {
+            let entry = self.next_edge_entry(id);
+            self.queue.push(Reverse(entry));
+        }
+    }
+
+    /// Parks a running domain: its next edge goes on the parked list with
+    /// the sequence number the tick engine's re-push would take.
+    fn park(&mut self, id: ClockDomainId) {
+        let entry = self.next_edge_entry(id);
+        self.insert_parked(entry);
+    }
+
+    fn insert_parked(&mut self, entry: QueueEntry) {
+        let at = self.parked.partition_point(|e| *e < entry);
+        self.parked.insert(at, entry);
+    }
+
+    /// Moves a parked domain's next edge onto the event queue unchanged.
+    /// Called before a re-program or gate turns that edge stale, so it pops
+    /// (as a counted no-op) exactly where the tick engine's would.
+    fn unpark(&mut self, id: ClockDomainId) {
+        if let Some(i) = self.parked.iter().position(|e| e.edge_domain() == Some(id)) {
+            let entry = self.parked.remove(i);
+            self.queue.push(Reverse(entry));
+        }
     }
 
     fn set_frequency(&mut self, id: ClockDomainId, frequency: Frequency) {
+        self.unpark(id);
         let now = self.now;
         self.domains[id.index()].set_frequency(now, frequency);
         self.schedule_edge(id);
     }
 
     fn set_gated(&mut self, id: ClockDomainId, gated: bool) {
+        if gated {
+            self.unpark(id);
+        }
         let now = self.now;
         let was = self.domains[id.index()].gated;
         self.domains[id.index()].set_gated(now, gated);
         if was && !gated {
             self.schedule_edge(id);
         }
+    }
+}
+
+/// What [`Engine::step`] did.
+enum Step {
+    /// Dispatched the next action.
+    Ran,
+    /// The next action lies beyond the deadline.
+    PastDeadline,
+    /// Nothing is queued or parked.
+    Idle,
+}
+
+/// A parked domain's part in a closed-form fold: `k` edges from origin
+/// index `n0` (the parked entry, sequence number `seq`).
+struct Span {
+    domain: ClockDomainId,
+    seq: u64,
+    n0: u64,
+    k: u64,
+}
+
+/// Whether domain `x`'s edge `a` pops before domain `y`'s edge `b`, both on
+/// the same instant inside a parked fold.
+///
+/// Each domain's first entry of the fold (index `n0`) keeps the sequence
+/// number it was parked with, older than every entry pushed during the
+/// fold. A later entry was pushed when the domain's previous edge popped,
+/// so two such entries order as those two pops did, one edge back. On a
+/// shared grid the walk back only ends at a first entry: the domain whose
+/// fold started later gets there first and holds the older entry.
+fn pops_first(x: (&ClockDomain, &Span), mut a: u64, y: (&ClockDomain, &Span), mut b: u64) -> bool {
+    let ((dx, sx), (dy, sy)) = (x, y);
+    loop {
+        match (a == sx.n0, b == sy.n0) {
+            (true, true) => return sx.seq < sy.seq,
+            (true, false) => return true,
+            (false, true) => return false,
+            (false, false) => {}
+        }
+        let (pa, pb) = (dx.edge_time(a - 1), dy.edge_time(b - 1));
+        if pa != pb {
+            return pa < pb;
+        }
+        if dx.same_grid(dy) {
+            let (fa, fb) = (dx.edge_time(sx.n0), dy.edge_time(sy.n0));
+            return if fa != fb { fa > fb } else { sx.seq < sy.seq };
+        }
+        a -= 1;
+        b -= 1;
     }
 }
 
@@ -338,11 +450,13 @@ impl Engine {
         Engine {
             kernel: Kernel {
                 queue: BinaryHeap::new(),
+                parked: Vec::new(),
                 now: SimTime::ZERO,
                 seq: 0,
                 domains: Vec::new(),
                 stop_request: None,
                 actions_dispatched: 0,
+                queue_pops: 0,
             },
             slots: Vec::new(),
             strategy,
@@ -364,6 +478,20 @@ impl Engine {
         self.kernel.actions_dispatched
     }
 
+    /// How this engine advanced since it was built: queue pops, and per
+    /// clock domain the dispatched, folded and parked edges.
+    pub fn kernel_counters(&self) -> KernelCounters {
+        KernelCounters {
+            queue_pops: self.kernel.queue_pops,
+            domains: self
+                .kernel
+                .domains
+                .iter()
+                .map(|d| (d.name.clone(), d.counters))
+                .collect(),
+        }
+    }
+
     /// Registers a clock domain running at `frequency`; its first edge fires
     /// one period after the current instant.
     pub fn add_clock_domain(&mut self, name: &str, frequency: Frequency) -> ClockDomainId {
@@ -371,6 +499,9 @@ impl Engine {
         let mut domain = ClockDomain::new(name.to_string(), frequency);
         domain.phase_origin = self.kernel.now;
         self.kernel.domains.push(domain);
+        // The parked list holds at most one entry per domain: it never
+        // grows while the engine runs.
+        self.kernel.parked.reserve(1);
         self.kernel.schedule_edge(id);
         id
     }
@@ -476,39 +607,26 @@ impl Engine {
         let start_actions = self.kernel.actions_dispatched;
         self.kernel.stop_request = None;
         self.refresh_all_wakes();
-        let result = loop {
-            let head_time = match self.kernel.queue.peek() {
-                Some(Reverse(e)) => e.time,
-                None => {
-                    break RunResult {
-                        reason: StopReason::Idle,
-                        now: self.kernel.now,
-                        actions: self.kernel.actions_dispatched - start_actions,
-                    };
+        let reason = loop {
+            match self.step(deadline) {
+                Step::Idle => break StopReason::Idle,
+                Step::PastDeadline => {
+                    self.kernel.now = deadline;
+                    break StopReason::DeadlineReached;
                 }
-            };
-            if head_time > deadline {
-                self.kernel.now = deadline;
-                break RunResult {
-                    reason: StopReason::DeadlineReached,
-                    now: deadline,
-                    actions: self.kernel.actions_dispatched - start_actions,
-                };
-            }
-            let Reverse(entry) = self.kernel.queue.pop().expect("peeked entry vanished");
-            debug_assert!(entry.time >= self.kernel.now, "time ran backwards");
-            self.kernel.now = entry.time;
-            self.execute(entry.action, deadline);
-            if let Some(code) = self.kernel.stop_request.take() {
-                break RunResult {
-                    reason: StopReason::Stopped(code),
-                    now: self.kernel.now,
-                    actions: self.kernel.actions_dispatched - start_actions,
-                };
+                Step::Ran => {
+                    if let Some(code) = self.kernel.stop_request.take() {
+                        break StopReason::Stopped(code);
+                    }
+                }
             }
         };
         self.sync_components();
-        result
+        RunResult {
+            reason,
+            now: self.kernel.now,
+            actions: self.kernel.actions_dispatched - start_actions,
+        }
     }
 
     /// Runs for `duration` of simulated time from now.
@@ -528,336 +646,273 @@ impl Engine {
         let start_actions = self.kernel.actions_dispatched;
         self.kernel.stop_request = None;
         self.refresh_all_wakes();
-        let result = loop {
+        let (reason, hit) = loop {
             if predicate(self) {
-                break (
-                    RunResult {
-                        reason: StopReason::Stopped(0),
-                        now: self.kernel.now,
-                        actions: self.kernel.actions_dispatched - start_actions,
-                    },
-                    true,
-                );
+                break (StopReason::Stopped(0), true);
             }
-            let head_time = match self.kernel.queue.peek() {
-                Some(Reverse(e)) => e.time,
-                None => {
-                    break (
-                        RunResult {
-                            reason: StopReason::Idle,
-                            now: self.kernel.now,
-                            actions: self.kernel.actions_dispatched - start_actions,
-                        },
-                        false,
-                    );
+            match self.step(deadline) {
+                Step::Idle => break (StopReason::Idle, false),
+                Step::PastDeadline => {
+                    self.kernel.now = deadline;
+                    break (StopReason::DeadlineReached, false);
                 }
-            };
-            if head_time > deadline {
-                self.kernel.now = deadline;
-                break (
-                    RunResult {
-                        reason: StopReason::DeadlineReached,
-                        now: deadline,
-                        actions: self.kernel.actions_dispatched - start_actions,
-                    },
-                    false,
-                );
-            }
-            let Reverse(entry) = self.kernel.queue.pop().expect("peeked entry vanished");
-            self.kernel.now = entry.time;
-            self.execute(entry.action, deadline);
-            if let Some(code) = self.kernel.stop_request.take() {
-                break (
-                    RunResult {
-                        reason: StopReason::Stopped(code),
-                        now: self.kernel.now,
-                        actions: self.kernel.actions_dispatched - start_actions,
-                    },
-                    false,
-                );
+                Step::Ran => {
+                    if let Some(code) = self.kernel.stop_request.take() {
+                        break (StopReason::Stopped(code), false);
+                    }
+                }
             }
         };
         self.sync_components();
-        result
+        let result = RunResult {
+            reason,
+            now: self.kernel.now,
+            actions: self.kernel.actions_dispatched - start_actions,
+        };
+        (result, hit)
     }
 
-    /// Executes one popped action: the tick engine dispatches it directly;
-    /// the event-skipping engine first checks whether a fresh edge heads a
-    /// quiescent span it can fold.
-    fn execute(&mut self, action: Action, deadline: SimTime) {
-        if self.strategy == EngineStrategy::Tick {
-            self.dispatch(action);
-            return;
+    /// Runs the next action in the tick engine's order, first firing the
+    /// parked edges that precede it. A parked domain whose member has work
+    /// on its next edge leaves the parked list and dispatches that edge.
+    fn step(&mut self, deadline: SimTime) -> Step {
+        loop {
+            let head = self.kernel.queue.peek().map(|Reverse(e)| *e);
+            if let Some(&p) = self.kernel.parked.first() {
+                if head.is_none_or(|h| p < h) {
+                    if p.time > deadline {
+                        return Step::PastDeadline;
+                    }
+                    let domain = p.edge_domain().expect("parked entries are edges");
+                    if self.due(domain) {
+                        self.kernel.parked.remove(0);
+                        self.kernel.now = p.time;
+                        self.run_edge(domain);
+                        return Step::Ran;
+                    }
+                    let past_deadline = SimTime::from_ps(deadline.as_ps().saturating_add(1));
+                    self.advance_parked(head.map_or(past_deadline, |h| h.time.min(past_deadline)));
+                    continue;
+                }
+            }
+            let Some(entry) = head else {
+                return Step::Idle;
+            };
+            if entry.time > deadline {
+                return Step::PastDeadline;
+            }
+            self.kernel.queue.pop();
+            self.kernel.queue_pops += 1;
+            debug_assert!(entry.time >= self.kernel.now, "time ran backwards");
+            self.kernel.now = entry.time;
+            self.execute(entry.action);
+            return Step::Ran;
         }
+    }
+
+    /// Executes one popped action. Under event-skip, a live edge on which
+    /// every member sleeps is accounted as the tick engine's no-op dispatch
+    /// without calling the members, and its domain parks.
+    fn execute(&mut self, action: Action) {
         match action {
             Action::Edge { domain, generation } => {
-                let d = &self.kernel.domains[domain.index()];
+                let d = &mut self.kernel.domains[domain.index()];
+                d.counters.pops += 1;
                 if d.gated || d.generation != generation {
-                    // Stale edge: route through dispatch so the action
-                    // accounting matches the tick engine exactly.
-                    self.dispatch(action);
-                    return;
-                }
-                let next_cycle = d.total_edges + 1;
-                let min_due = d
-                    .members
-                    .iter()
-                    .map(|m| self.slots[m.index()].due_cycle)
-                    .min()
-                    .unwrap_or(u64::MAX);
-                if min_due <= next_cycle {
-                    // Some member does work on this very edge.
-                    self.dispatch(action);
-                    self.refresh_wakes(Some(domain), None);
-                } else if !self.global_fold(domain, min_due, deadline) {
-                    self.fold_edges(domain, min_due, deadline);
+                    // Stale edge from before a re-program or gate: both
+                    // kernels count it as a no-op dispatch.
+                    self.kernel.actions_dispatched += 1;
+                } else if self.strategy == EngineStrategy::Tick || self.due(domain) {
+                    self.run_edge(domain);
+                } else {
+                    let d = &mut self.kernel.domains[domain.index()];
+                    d.advance(1);
+                    d.counters.folded += 1;
+                    self.kernel.actions_dispatched += 1;
+                    self.kernel.park(domain);
                 }
             }
-            Action::Deliver { target, .. } => {
-                self.dispatch(action);
-                self.refresh_wakes(None, Some(target));
+            Action::Deliver { target, event } => {
+                self.kernel.actions_dispatched += 1;
+                let domain = self.slots[target.index()].domain;
+                self.call(target, domain, Some(event));
+                if self.strategy == EngineStrategy::EventSkip {
+                    self.refresh_wakes(None, Some(target));
+                }
             }
         }
     }
 
-    /// Attempts to fold a *globally* quiescent span. When every queued entry
-    /// is a fresh edge and every running domain's members are asleep, the
-    /// tick engine would grind through nothing but no-op edge dispatches
-    /// until the earliest declared wake (or the deadline); this folds all of
-    /// those — across every domain — in one O(domains·log domains) step,
-    /// where [`Engine::fold_edges`] alone is capped at the next queued entry
-    /// and so advances a multi-domain system only one inter-edge gap per pop.
-    ///
-    /// Exactness: the accounting (clock counters, time, dispatched actions,
-    /// the schedule-sequence counter) matches `Σk` tick dispatches, and the
-    /// surviving queue state matches the tick engine's — entry times by
-    /// construction, and the *relative sequence order* of the re-pushed
-    /// edges by re-pushing in the tick engine's push chronology: ascending
-    /// last-folded-edge time (a surviving entry is pushed at the pop of the
-    /// last folded edge), then predecessor-edge time (two domains tying on
-    /// `t_last` with distinct grids pushed their `t_last` entries at their
-    /// respective predecessor pops), then — full ties share one edge grid —
-    /// captured-entry time *descending* with the popped entry winning
-    /// same-instant ties: a domain already a cycle ahead at fold time keeps
-    /// its older sequence number at the first shared instant, and that pop
-    /// order then reproduces itself at every later instant of the span.
-    ///
-    /// Returns false when ineligible — a Deliver or stale edge is queued
-    /// (those interleave with the span in ways only the bounded per-domain
-    /// fold handles), or the earliest wake does not clear the next queued
-    /// entry (no cross-domain skip to be had) — and the caller falls back
-    /// to [`Engine::fold_edges`].
-    fn global_fold(
-        &mut self,
-        popped: ClockDomainId,
-        popped_min_due: u64,
-        deadline: SimTime,
-    ) -> bool {
-        // Eligibility scan; also capture each domain's live entry.
-        let n_domains = self.kernel.domains.len();
-        let mut entries: Vec<Option<(u64, SimTime)>> = vec![None; n_domains];
-        let mut head: Option<SimTime> = None;
-        for Reverse(e) in self.kernel.queue.iter() {
-            match e.action {
-                Action::Edge { domain, generation } => {
-                    let d = &self.kernel.domains[domain.index()];
-                    if d.gated || d.generation != generation {
-                        return false;
-                    }
-                    entries[domain.index()] = Some((e.seq, e.time));
-                    head = Some(head.map_or(e.time, |h: SimTime| h.min(e.time)));
-                }
-                Action::Deliver { .. } => return false,
-            }
-        }
-        let Some(head) = head else {
-            return false; // single-domain system: fold_edges already optimal
+    /// Dispatches a live edge of `domain`: advances its counters (so
+    /// `ctx.cycle()` observes the edge being processed), calls its members
+    /// in registration order, then queues its next edge — or, under
+    /// event-skip, parks the domain if every member sleeps through it.
+    fn run_edge(&mut self, domain: ClockDomainId) {
+        self.kernel.actions_dispatched += 1;
+        let (generation, members) = {
+            let d = &mut self.kernel.domains[domain.index()];
+            d.advance(1);
+            d.counters.dispatched += 1;
+            (d.generation, std::mem::take(&mut d.members))
         };
+        for &id in &members {
+            self.call(id, Some(domain), None);
+        }
+        let d = &mut self.kernel.domains[domain.index()];
+        debug_assert!(d.members.is_empty(), "members registered mid-edge");
+        d.members = members;
+        // A member that re-programmed or gated the domain has already
+        // queued its next edge (or none).
+        let current = d.generation == generation && !d.gated;
+        if self.strategy == EngineStrategy::EventSkip {
+            // The poll pushes nothing, so the next edge takes the same
+            // sequence number as in the tick engine.
+            self.refresh_wakes(Some(domain), None);
+            if current && !self.due(domain) {
+                self.kernel.park(domain);
+                return;
+            }
+        }
+        if current {
+            self.kernel.schedule_edge(domain);
+        }
+    }
 
-        // The fold stops at the earliest cycle any member declared
-        // interesting, over every running domain, or at the deadline.
-        let mut t_stop = deadline;
-        for (idx, d) in self.kernel.domains.iter().enumerate() {
-            if d.gated {
+    /// The earliest cycle on which a member of `domain` declared work
+    /// (`u64::MAX` when all sleep until new input).
+    fn min_due(&self, domain: ClockDomainId) -> u64 {
+        let d = &self.kernel.domains[domain.index()];
+        d.members
+            .iter()
+            .map(|m| self.slots[m.index()].due_cycle)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// Whether some member of `domain` declared work on its next edge.
+    fn due(&self, domain: ClockDomainId) -> bool {
+        self.min_due(domain) <= self.kernel.domains[domain.index()].total_edges + 1
+    }
+
+    /// Fires the earliest parked edge, whose members all sleep, together
+    /// with every other parked edge that pops before `bound` (exclusive:
+    /// the queue head, or one past the deadline) and before any parked
+    /// domain's wake. One domain alone on the span steps one edge; several
+    /// edges fold in closed form ([`Engine::fold_parked`]).
+    fn advance_parked(&mut self, bound: SimTime) {
+        let head = self.kernel.parked[0];
+        let id = head.edge_domain().expect("parked entries are edges");
+        let d = &self.kernel.domains[id.index()];
+        let after = d.edge_time(d.next_edge + 1);
+        if after < bound && self.fold_parked(bound) {
+            return;
+        }
+        // The tick engine pops this edge, dispatches it as a no-op and
+        // pushes the next one.
+        self.kernel.parked.remove(0);
+        let d = &mut self.kernel.domains[id.index()];
+        d.advance(1);
+        d.counters.parked += 1;
+        self.kernel.now = head.time;
+        self.kernel.actions_dispatched += 1;
+        let seq = self.kernel.seq;
+        self.kernel.seq += 1;
+        self.kernel.insert_parked(QueueEntry {
+            time: after,
+            seq,
+            action: head.action,
+        });
+    }
+
+    /// Folds every parked domain's edges before `bound` and before the
+    /// earliest parked wake in one step. Returns false, folding nothing,
+    /// when the head domain has fewer than two edges in that span.
+    ///
+    /// Exactness: each domain's clock counters advance by its `k` edges,
+    /// time moves to the last folded edge, and `actions_dispatched` and the
+    /// sequence counter grow by the total, as that many tick pops would.
+    /// Each domain's next entry takes the sequence number the tick engine
+    /// gave it: the counter plus every pop before that domain's last one —
+    /// its own earlier edges, other domains' earlier edges, and their edges
+    /// on the same instant that pop first ([`pops_first`]).
+    fn fold_parked(&mut self, bound: SimTime) -> bool {
+        // A wake ends the span for every domain: the woken edge dispatches,
+        // and what it pushes can land anywhere after it.
+        let mut limit = bound;
+        for e in &self.kernel.parked {
+            let id = e.edge_domain().expect("parked entries are edges");
+            let (due, d) = (self.min_due(id), &self.kernel.domains[id.index()]);
+            if due == u64::MAX {
                 continue;
             }
-            let min_due = if idx == popped.index() {
-                popped_min_due
-            } else {
-                d.members
-                    .iter()
-                    .map(|m| self.slots[m.index()].due_cycle)
-                    .min()
-                    .unwrap_or(u64::MAX)
-            };
-            if min_due == u64::MAX {
-                continue;
+            let wake = due.saturating_sub(d.total_edges + 1);
+            if wake < d.edges_before(limit) {
+                limit = d.edge_time(d.next_edge + wake);
             }
-            let delta = min_due.saturating_sub(d.total_edges + 1);
-            let t_due = d.phase_origin + d.frequency.edge_offset(d.next_edge + delta);
-            t_stop = t_stop.min(t_due);
         }
-        if t_stop <= head {
-            return false; // cannot skip past any queued entry
-        }
-
-        // Fold every running domain's edges strictly before `t_stop` (the
-        // popped edge always folds: it already won its pop ordering).
-        let horizon = SimTime::from_ps(t_stop.as_ps().saturating_sub(1));
-        type FoldKey = (SimTime, SimTime, std::cmp::Reverse<SimTime>, u8, u64);
-        let mut folds: Vec<(FoldKey, ClockDomainId)> = Vec::new();
-        let mut total_k = 0u64;
-        let mut max_t_last = self.kernel.now;
-        for (idx, &entry) in entries.iter().enumerate() {
-            let is_popped = idx == popped.index();
-            if !is_popped && entry.is_none() {
-                continue; // gated (or an unreachable entry-less domain)
-            }
-            let d = &mut self.kernel.domains[idx];
-            if d.gated {
-                continue;
-            }
-            let n0 = d.next_edge;
-            let k_time = if horizon < d.phase_origin {
-                0
-            } else {
-                let y = (horizon - d.phase_origin).as_ps();
-                let e_max =
-                    ((y as u128 + 1) * d.frequency.as_hz() as u128 - 1) / PS_PER_SEC as u128;
-                let e_max = u64::try_from(e_max).unwrap_or(u64::MAX);
-                if e_max < n0 {
-                    0
-                } else {
-                    e_max - n0 + 1
-                }
-            };
-            let k = if is_popped { k_time.max(1) } else { k_time };
-            if k == 0 {
-                continue; // entry at or past t_stop: stays queued verbatim
-            }
-            d.edges_since_origin = n0 + k - 1;
-            d.next_edge = n0 + k;
-            d.total_edges += k;
-            let t_last = d.phase_origin + d.frequency.edge_offset(n0 + k - 1);
-            // The instant the tick engine pushed this domain's surviving
-            // entry: the pop of the edge before it.
-            let t_prev = if k >= 2 {
-                d.phase_origin + d.frequency.edge_offset(n0 + k - 2)
-            } else if n0 >= 1 {
-                d.phase_origin + d.frequency.edge_offset(n0 - 1)
-            } else {
-                SimTime::ZERO
-            };
-            // Within a (t_last, t_prev) tie group every domain shares one
-            // edge grid, and the tick pop order at the final shared instant
-            // is set at the first: domains already *ahead* (captured entry at
-            // a later instant) keep their older sequence numbers and stay in
-            // front of the stragglers' fresh re-pushes forever after. So the
-            // group orders by captured-entry time DESCENDING; the popped
-            // entry out-popped every same-instant peer, so it wins that tie.
-            let (t_cap, pop_rank, s_cap) = if is_popped {
-                (self.kernel.now, 0u8, 0u64)
-            } else {
-                let (s, t) = entry.expect("captured");
-                (t, 1, s)
-            };
-            debug_assert!(t_last <= horizon || (is_popped && k == 1));
-            total_k += k;
-            max_t_last = max_t_last.max(t_last);
-            folds.push((
-                (t_last, t_prev, std::cmp::Reverse(t_cap), pop_rank, s_cap),
-                ClockDomainId(idx as u32),
-            ));
-        }
-
-        // Drop the folded domains' consumed entries; keep the rest verbatim
-        // (original seq included).
-        let folded: Vec<bool> = {
-            let mut v = vec![false; n_domains];
-            for &(_, id) in &folds {
-                v[id.index()] = true;
-            }
-            v
-        };
-        let retained: Vec<QueueEntry> = self
+        let domains = &self.kernel.domains;
+        let spans: Vec<Span> = self
             .kernel
-            .queue
-            .drain()
-            .map(|Reverse(e)| e)
-            .filter(|e| match e.action {
-                Action::Edge { domain, .. } => !folded[domain.index()],
-                Action::Deliver { .. } => unreachable!("eligibility scan admitted a Deliver"),
+            .parked
+            .iter()
+            .map(|e| {
+                let domain = e.edge_domain().expect("parked entries are edges");
+                let d = &domains[domain.index()];
+                Span {
+                    domain,
+                    seq: e.seq,
+                    n0: d.next_edge,
+                    k: d.edges_before(limit),
+                }
             })
             .collect();
-        self.kernel.queue.extend(retained.into_iter().map(Reverse));
-
-        debug_assert!(max_t_last >= self.kernel.now, "global fold ran backwards");
-        self.kernel.now = max_t_last;
-        self.kernel.actions_dispatched += total_k;
-        // The tick engine consumed one sequence number per folded pop's
-        // re-push; only the final pushes below survive.
-        self.kernel.seq += total_k - folds.len() as u64;
-        folds.sort_unstable_by_key(|&(key, _)| key);
-        for (_, id) in folds {
-            self.kernel.schedule_edge(id);
+        if spans[0].k < 2 {
+            return false;
         }
-        true
-    }
 
-    /// Folds a run of consecutive quiescent edges of `domain` into O(1)
-    /// accounting updates, emulating exactly what `k` sequential tick
-    /// dispatches would have done to clocks, time, action counts and the
-    /// schedule-sequence counter. Member state is folded lazily via
-    /// [`Component::catch_up`]. The popped edge (already off the queue) is
-    /// the first folded edge.
-    fn fold_edges(&mut self, domain: ClockDomainId, min_due: u64, deadline: SimTime) {
-        // Folded edges after the first must fire strictly before every other
-        // queued entry: a freshly re-scheduled edge always carries the
-        // youngest sequence number, so the tick engine breaks same-time ties
-        // in favour of the other entry.
-        let other_min = self.kernel.queue.peek().map(|Reverse(e)| e.time);
-        let d = &mut self.kernel.domains[domain.index()];
-        let c = d.total_edges;
-        debug_assert!(min_due > c + 1, "fold requires a quiescent next edge");
-        let k_wake = if min_due == u64::MAX {
-            u64::MAX
-        } else {
-            min_due - 1 - c
-        };
-        let horizon = match other_min {
-            Some(t) => SimTime::from_ps(t.as_ps().saturating_sub(1)).min(deadline),
-            None => deadline,
-        };
-        let n0 = d.next_edge; // origin-relative index of the popped edge
-        let k_time = if horizon < d.phase_origin {
-            0
-        } else {
-            let y = (horizon - d.phase_origin).as_ps();
-            // Largest edge index e with edge_offset(e) <= y, inverting
-            // edge_offset's truncating division in 128-bit arithmetic.
-            let e_max = ((y as u128 + 1) * d.frequency.as_hz() as u128 - 1) / PS_PER_SEC as u128;
-            let e_max = u64::try_from(e_max).unwrap_or(u64::MAX);
-            if e_max < n0 {
-                0
-            } else {
-                e_max - n0 + 1
+        let start_seq = self.kernel.seq;
+        let mut seqs = Vec::with_capacity(spans.len());
+        for x in &spans {
+            let dx = &domains[x.domain.index()];
+            if x.k == 0 {
+                seqs.push(None);
+                continue;
             }
-        };
-        // Even when the horizon forbids folding past the popped edge, the
-        // popped edge itself already won its pop ordering: a k = 1 "fold" is
-        // exactly the tick engine's no-op dispatch of that edge.
-        let k = k_wake.min(k_time).max(1);
-        d.edges_since_origin = n0 + k - 1;
-        d.next_edge = n0 + k;
-        d.total_edges = c + k;
-        let new_now = d.phase_origin + d.frequency.edge_offset(n0 + k - 1);
-        debug_assert!(new_now >= self.kernel.now, "fold ran backwards");
-        self.kernel.now = new_now;
-        self.kernel.actions_dispatched += k;
-        // The tick engine would have consumed one sequence number per
-        // re-scheduled edge; only the last push survives in the queue.
-        self.kernel.seq += k - 1;
-        self.kernel.schedule_edge(domain);
+            let a = x.n0 + x.k - 1;
+            let t = dx.edge_time(a);
+            let mut before = x.k - 1;
+            for y in spans.iter().filter(|y| y.domain != x.domain) {
+                let dy = &domains[y.domain.index()];
+                let c = dy.edges_before(t);
+                debug_assert!(c <= y.k, "fold span overran a domain");
+                before += c;
+                let b = y.n0 + c;
+                if c < y.k && dy.edge_time(b) == t && pops_first((dy, y), b, (dx, x), a) {
+                    before += 1;
+                }
+            }
+            seqs.push(Some(start_seq + before));
+        }
+
+        let mut total = 0;
+        let mut last = self.kernel.now;
+        for ((span, seq), entry) in spans.iter().zip(seqs).zip(&mut self.kernel.parked) {
+            let Some(seq) = seq else {
+                continue;
+            };
+            let d = &mut self.kernel.domains[span.domain.index()];
+            last = last.max(d.edge_time(span.n0 + span.k - 1));
+            d.advance(span.k);
+            d.counters.parked += span.k;
+            total += span.k;
+            entry.time = d.next_edge_time();
+            entry.seq = seq;
+        }
+        self.kernel.parked.sort_unstable();
+        self.kernel.now = last;
+        self.kernel.actions_dispatched += total;
+        self.kernel.seq += total;
+        true
     }
 
     /// Re-polls component wake declarations after a dispatched action.
@@ -923,47 +978,6 @@ impl Engine {
         }
     }
 
-    fn dispatch(&mut self, action: Action) {
-        self.kernel.actions_dispatched += 1;
-        match action {
-            Action::Edge { domain, generation } => {
-                {
-                    let d = &self.kernel.domains[domain.index()];
-                    if d.gated || d.generation != generation {
-                        return; // stale edge from before a re-program/gate
-                    }
-                }
-                // Advance the edge counters before member dispatch so that
-                // ctx.cycle() observes the edge being processed.
-                let members = {
-                    let d = &mut self.kernel.domains[domain.index()];
-                    d.edges_since_origin = d.next_edge;
-                    d.next_edge += 1;
-                    d.total_edges += 1;
-                    std::mem::take(&mut d.members)
-                };
-                for &id in &members {
-                    self.call(id, Some(domain), None);
-                }
-                {
-                    let d = &mut self.kernel.domains[domain.index()];
-                    debug_assert!(d.members.is_empty(), "members registered mid-edge");
-                    d.members = members;
-                }
-                // Re-schedule unless a member re-programmed the domain (in
-                // which case set_frequency already queued the new edge).
-                let d = &self.kernel.domains[domain.index()];
-                if d.generation == generation && !d.gated {
-                    self.kernel.schedule_edge(domain);
-                }
-            }
-            Action::Deliver { target, event } => {
-                let domain = self.slots[target.index()].domain;
-                self.call(target, domain, Some(event));
-            }
-        }
-    }
-
     /// Serialises the whole engine — event queue, clock domains, per-slot
     /// wake bookkeeping and every component's [`Component::snapshot_state`] —
     /// for a deterministic checkpoint (see `docs/SNAPSHOT.md`).
@@ -979,7 +993,9 @@ impl Engine {
             self.kernel.stop_request.is_none(),
             "snapshot taken mid-dispatch"
         );
+        // Parked domains' next edges render where the tick engine queues them.
         let mut entries: Vec<&QueueEntry> = self.kernel.queue.iter().map(|Reverse(e)| e).collect();
+        entries.extend(&self.kernel.parked);
         entries.sort();
         let domains: Vec<DomainState> = self
             .kernel
@@ -1075,10 +1091,38 @@ impl Engine {
                 )));
             }
         }
+        // The queue must be one the kernel can build: parking and the run
+        // loop rely on every running domain having exactly one live edge.
+        let mut seqs: Vec<u64> = entries.iter().map(|e| e.seq).collect();
+        seqs.sort_unstable();
+        if let Some(w) = seqs.windows(2).find(|w| w[0] == w[1]) {
+            return Err(err(format!("queue sequence number {} repeats", w[0])));
+        }
+        if let Some(&max) = seqs.last().filter(|&&max| max >= seq) {
+            return Err(err(format!(
+                "queue sequence number {max} is not below the counter {seq}"
+            )));
+        }
         for e in &entries {
+            if e.time < now {
+                return Err(err(format!(
+                    "queue entry at {} ps precedes now ({} ps)",
+                    e.time.as_ps(),
+                    now.as_ps()
+                )));
+            }
             match e.action {
-                Action::Edge { domain, .. } if domain.index() >= self.kernel.domains.len() => {
-                    return Err(err(format!("queued edge for unknown domain {}", domain.0)));
+                Action::Edge { domain, generation } => {
+                    let Some(dv) = domains.get(domain.index()) else {
+                        return Err(err(format!("queued edge for unknown domain {}", domain.0)));
+                    };
+                    if generation > dv.generation {
+                        return Err(err(format!(
+                            "queued edge of clock domain '{}' has generation {generation}, \
+                             beyond the domain's {}",
+                            dv.name, dv.generation
+                        )));
+                    }
                 }
                 Action::Deliver { target, .. } if target.index() >= self.slots.len() => {
                     return Err(err(format!(
@@ -1086,7 +1130,39 @@ impl Engine {
                         target.0
                     )));
                 }
-                _ => {}
+                Action::Deliver { .. } => {}
+            }
+        }
+        for (i, dv) in domains.iter().enumerate() {
+            let live: Vec<SimTime> = entries
+                .iter()
+                .filter(|e| {
+                    e.action
+                        == Action::Edge {
+                            domain: ClockDomainId(i as u32),
+                            generation: dv.generation,
+                        }
+                })
+                .map(|e| e.time)
+                .collect();
+            if dv.gated {
+                if !live.is_empty() {
+                    return Err(err(format!(
+                        "gated clock domain '{}' has a live edge queued",
+                        dv.name
+                    )));
+                }
+                continue;
+            }
+            // In 128 bits: a corrupt edge index must not overflow.
+            let next = dv.phase_origin.as_ps() as u128
+                + dv.next_edge as u128 * PS_PER_SEC as u128 / dv.hz.as_hz() as u128;
+            if live.len() != 1 || live[0].as_ps() as u128 != next {
+                return Err(err(format!(
+                    "running clock domain '{}' needs one live edge at {next} ps, \
+                     the queue holds {live:?}",
+                    dv.name
+                )));
             }
         }
 
@@ -1095,6 +1171,8 @@ impl Engine {
         self.kernel.seq = seq;
         self.kernel.actions_dispatched = actions;
         self.kernel.stop_request = None;
+        // Sleeping domains park again as their first edge pops.
+        self.kernel.parked.clear();
         self.kernel.queue.clear();
         self.kernel.queue.extend(entries.into_iter().map(Reverse));
         for (d, dv) in self.kernel.domains.iter_mut().zip(domains) {
@@ -1145,6 +1223,7 @@ impl std::fmt::Debug for Engine {
             .field("components", &self.slots.len())
             .field("clock_domains", &self.kernel.domains.len())
             .field("queued", &self.kernel.queue.len())
+            .field("parked", &self.kernel.parked.len())
             .field("actions_dispatched", &self.kernel.actions_dispatched)
             .finish()
     }
@@ -1555,5 +1634,165 @@ mod tests {
             (e.actions_dispatched(), e.component::<EdgeCounter>(id).edges)
         };
         assert_eq!(build(), build());
+    }
+
+    /// Two clocked domains (one gated mid-run), a pending event, and a
+    /// snapshot of the lot, for the restore-validation tests.
+    fn restorable() -> (impl Fn() -> Engine, Json) {
+        let build = || {
+            let mut e = Engine::new();
+            let a = e.add_clock_domain("a", Frequency::from_mhz(100));
+            let b = e.add_clock_domain("b", Frequency::from_mhz(280));
+            e.add_component(Beacon::new(7), Some(a));
+            e.add_component(Beacon::new(3), Some(b));
+            e.add_component(Echo { got: vec![] }, None);
+            (e, b)
+        };
+        let (mut e, b) = build();
+        e.schedule(SimDuration::from_micros(5), ComponentId(2), Event::new(0));
+        e.run_for(SimDuration::from_nanos(500));
+        e.gate_clock(b, true);
+        e.run_for(SimDuration::from_nanos(100));
+        let snap = e.snapshot();
+        (move || build().0, snap)
+    }
+
+    /// Applies `edit` to the snapshot's queue array and restores the result
+    /// into a fresh engine.
+    fn restore_edited(edit: impl FnOnce(&mut Vec<Json>)) -> Result<(), JsonError> {
+        let (build, mut snap) = restorable();
+        let Json::Obj(fields) = &mut snap else {
+            unreachable!()
+        };
+        let Some((_, Json::Arr(queue))) = fields.iter_mut().find(|(k, _)| k == "queue") else {
+            unreachable!()
+        };
+        edit(queue);
+        build().restore(&snap)
+    }
+
+    fn set(entry: &mut Json, key: &str, value: u64) {
+        let Json::Obj(fields) = entry else {
+            unreachable!()
+        };
+        fields.iter_mut().find(|(k, _)| k == key).expect("key").1 = Json::U64(value);
+    }
+
+    fn get(entry: &Json, key: &str) -> Option<u64> {
+        entry.get(key).and_then(Json::as_u64)
+    }
+
+    /// Index of the queued edge of domain `d` with generation `generation`.
+    fn edge_of(queue: &[Json], d: u64, generation: u64) -> usize {
+        queue
+            .iter()
+            .position(|e| get(e, "edge") == Some(d) && get(e, "generation") == Some(generation))
+            .expect("edge entry")
+    }
+
+    fn assert_rejected(result: Result<(), JsonError>, needle: &str) {
+        match result {
+            Ok(()) => panic!("restore accepted an impossible queue ({needle})"),
+            Err(e) => assert!(e.msg.contains(needle), "unexpected error: {}", e.msg),
+        }
+    }
+
+    #[test]
+    fn restore_accepts_the_unedited_queue() {
+        let (build, snap) = restorable();
+        let mut e = build();
+        e.restore(&snap).expect("a real snapshot restores");
+        assert_eq!(e.snapshot().render(), snap.render());
+    }
+
+    #[test]
+    fn restore_rejects_an_entry_before_now() {
+        assert_rejected(restore_edited(|q| set(&mut q[0], "t", 1)), "precedes now");
+    }
+
+    #[test]
+    fn restore_rejects_a_repeated_seq() {
+        assert_rejected(
+            restore_edited(|q| {
+                let seq = get(&q[0], "seq").unwrap();
+                set(&mut q[1], "seq", seq);
+            }),
+            "repeats",
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_seq_not_below_the_counter() {
+        let (_, snap) = restorable();
+        let counter = get(&snap, "seq").unwrap();
+        assert_rejected(
+            restore_edited(|q| set(&mut q[0], "seq", counter)),
+            "not below the counter",
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_generation_from_the_future() {
+        assert_rejected(
+            restore_edited(|q| {
+                let i = edge_of(q, 0, 0);
+                set(&mut q[i], "generation", 1);
+            }),
+            "beyond the domain's",
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_running_domain_without_a_live_edge() {
+        assert_rejected(
+            restore_edited(|q| {
+                let i = edge_of(q, 0, 0);
+                q.remove(i);
+            }),
+            "needs one live edge",
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_running_domain_with_two_live_edges() {
+        assert_rejected(
+            restore_edited(|q| {
+                // A second live edge, one cycle later, with an unused seq.
+                let i = edge_of(q, 0, 0);
+                let mut twin = q[i].clone();
+                let t = get(&twin, "t").unwrap();
+                set(&mut twin, "t", t + 10_000);
+                set(&mut twin, "seq", 0);
+                q.push(twin);
+            }),
+            "needs one live edge",
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_live_edge_off_the_clock_grid() {
+        assert_rejected(
+            restore_edited(|q| {
+                let i = edge_of(q, 0, 0);
+                let t = get(&q[i], "t").unwrap();
+                set(&mut q[i], "t", t + 1);
+            }),
+            "needs one live edge",
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_live_edge_of_a_gated_domain() {
+        assert_rejected(
+            restore_edited(|q| {
+                // Domain b is gated at generation 1: queue it an edge.
+                let mut edge = q[edge_of(q, 0, 0)].clone();
+                set(&mut edge, "edge", 1);
+                set(&mut edge, "generation", 1);
+                set(&mut edge, "seq", 0);
+                q.push(edge);
+            }),
+            "gated clock domain 'b' has a live edge",
+        );
     }
 }

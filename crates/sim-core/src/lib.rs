@@ -69,9 +69,9 @@ pub mod stats;
 pub mod thermal;
 pub mod time;
 
-pub use clock::{ClockDomainId, ClockDomainInfo};
+pub use clock::{ClockDomainId, ClockDomainInfo, DomainCounters};
 pub use component::{Component, ComponentId, Event, EventKey, NextWake};
-pub use engine::{EdgeCtx, Engine, EngineStrategy, RunResult, StopReason};
+pub use engine::{EdgeCtx, Engine, EngineStrategy, KernelCounters, RunResult, StopReason};
 pub use fifo::{fifo_channel, Consumer, Fifo, Producer};
 pub use irq::{IrqBus, IrqLine};
 pub use rng::{fnv1a, SplitMix64, Xoshiro256StarStar};

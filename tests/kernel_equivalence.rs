@@ -16,7 +16,7 @@ use pdr_lab::pdr::{
     ZynqPdrSystem,
 };
 use pdr_lab::sim::json::ToJson;
-use pdr_lab::sim::{EngineStrategy, Frequency, SimDuration};
+use pdr_lab::sim::{EngineStrategy, Frequency, KernelCounters, SimDuration};
 
 const STRATEGIES: [EngineStrategy; 2] = [EngineStrategy::Tick, EngineStrategy::EventSkip];
 
@@ -220,4 +220,78 @@ fn scheduler_tape_is_identical_across_engines_and_matches_golden() {
     assert_eq!(tick_rep, skip_rep, "scheduler telemetry must match");
     assert_eq!(tick_rep.to_json_string(), skip_rep.to_json_string());
     assert_eq!(tick.tape, golden("scheduler_compressed.jsonl"));
+}
+
+/// Kernel counters across one `fast_test` reconfiguration of RP0 at
+/// 200 MHz, on a system that already reconfigured once (so every idle
+/// partition clock has parked).
+fn reconfig_counters(strategy: EngineStrategy) -> (KernelCounters, KernelCounters) {
+    let mut config = SystemConfig::fast_test();
+    config.strategy = strategy;
+    let mut sys = ZynqPdrSystem::new(config);
+    let bs = sys.make_asp_bitstream(0, AspKind::Fir16, 1);
+    assert!(sys.reconfigure(0, &bs, Frequency::from_mhz(200)).crc_ok());
+    let before = sys.engine_mut().kernel_counters();
+    assert!(sys.reconfigure(0, &bs, Frequency::from_mhz(200)).crc_ok());
+    (before, sys.engine_mut().kernel_counters())
+}
+
+/// A domain's name and its `(pops, dispatched, folded, parked)` change.
+type Delta = (String, (u64, u64, u64, u64));
+
+/// Per-domain changes between two counter readings, and the queue pops.
+fn counter_delta(before: &KernelCounters, after: &KernelCounters) -> (u64, Vec<Delta>) {
+    let domains = before
+        .domains
+        .iter()
+        .zip(&after.domains)
+        .map(|((name, b), (_, a))| {
+            let d = (
+                a.pops - b.pops,
+                a.dispatched - b.dispatched,
+                a.folded - b.folded,
+                a.parked - b.parked,
+            );
+            (name.clone(), d)
+        })
+        .collect();
+    (after.queue_pops - before.queue_pops, domains)
+}
+
+#[test]
+fn reconfiguration_kernel_counters_are_pinned() {
+    let (before, after) = reconfig_counters(EngineStrategy::EventSkip);
+    let (pops, skip) = counter_delta(&before, &after);
+    let (before, after) = reconfig_counters(EngineStrategy::Tick);
+    let (tick_pops, tick) = counter_delta(&before, &after);
+
+    // The partition clocks idle through the whole transfer: parked, they
+    // pop nothing, and every one of their edges is accounted off the queue.
+    for (name, (pops, dispatched, folded, parked)) in &skip {
+        if name.starts_with("rp") {
+            assert_eq!((*pops, *dispatched, *folded), (0, 0, 0), "{name}");
+            assert!(*parked > 0, "{name}");
+        }
+    }
+    // Every domain fires the tick engine's edges: dispatched, folded
+    // before parking, or fired while parked.
+    for ((name, (_, d, f, p)), (_, (_, tick_dispatched, tick_folded, tick_parked))) in
+        skip.iter().zip(&tick)
+    {
+        assert_eq!((*tick_folded, *tick_parked), (0, 0), "{name}");
+        assert_eq!(d + f + p, *tick_dispatched, "{name}");
+    }
+    let pin = |name: &str, d: (u64, u64, u64, u64)| (name.to_string(), d);
+    assert_eq!(tick_pops, 178_741);
+    assert_eq!(pops, 46_051);
+    assert_eq!(
+        skip,
+        vec![
+            pin("fclk-axi", (5_451, 5_584, 0, 11_719)),
+            pin("ddr", (29_507, 29_508, 0, 62_717)),
+            pin("overclock", (11_093, 11_093, 1, 23_512)),
+            pin("rp1-clk", (0, 0, 0, 17_303)),
+            pin("rp2-clk", (0, 0, 0, 17_303)),
+        ]
+    );
 }

@@ -13,6 +13,7 @@ use pdr_testkit::{
 };
 
 use pdr_lab::fabric::{ColumnKind, Geometry};
+use pdr_lab::sim::json::Json;
 use pdr_lab::sim::stats::OnlineStats;
 use pdr_lab::sim::{
     fifo_channel, Component, ComponentId, Consumer, EdgeCtx, Engine, EngineStrategy, Event,
@@ -193,6 +194,22 @@ fn log_work(log: &WorkLog, ctx: &EdgeCtx<'_>, component: u64, what: Work) {
     log.borrow_mut().push((ctx.now().as_ps(), component, what));
 }
 
+/// The engine's checkpoint without its component slots (whose wake
+/// bookkeeping is kernel-private): time, sequence counter, action count,
+/// every queued entry with its sequence number, and every clock domain.
+fn kernel_state(e: &Engine) -> String {
+    match e.snapshot() {
+        Json::Obj(fields) => Json::Obj(
+            fields
+                .into_iter()
+                .filter(|(k, _)| k != "components")
+                .collect(),
+        )
+        .render(),
+        other => panic!("engine snapshot is not an object: {other:?}"),
+    }
+}
+
 /// A randomly parameterised clocked component: it does observable work on a
 /// random cycle pattern, launches decaying event chains at other nodes
 /// (IRQ storms, cross-domain), optionally goes permanently idle after a
@@ -334,8 +351,9 @@ impl Component for ChaosNode {
 type NodeSpec = (usize, Vec<u64>, u64, (bool, u64));
 
 /// Everything a chaos run can observe: per-node summaries, the work log,
-/// final simulated time and the dispatched-action count.
-type ChaosOutcome = (Vec<(u64, u64, u64)>, Vec<WorkEntry>, u64, u64);
+/// the kernel state after every run segment, and the dispatched-action
+/// count.
+type ChaosOutcome = (Vec<(u64, u64, u64)>, Vec<WorkEntry>, Vec<String>, u64);
 
 fn run_chaos(
     strategy: EngineStrategy,
@@ -378,8 +396,10 @@ fn run_chaos(
         ids[0],
         Event::with_args(7, 3, 99),
     );
+    let mut states = Vec::new();
     for (si, &us) in segments.iter().enumerate() {
         e.run_for(SimDuration::from_micros(us));
+        states.push(kernel_state(&e));
         // Between-run perturbations: reprogramming and gating exercise the
         // generation/gating paths of the skipping kernel.
         if si == 0 {
@@ -397,8 +417,9 @@ fn run_chaos(
         .iter()
         .map(|&id| e.component::<ChaosNode>(id).summary())
         .collect();
+    states.push(kernel_state(&e));
     let work = log.borrow().clone();
-    (summaries, work, e.now().as_ps(), e.actions_dispatched())
+    (summaries, work, states, e.actions_dispatched())
 }
 
 property! {
@@ -431,7 +452,7 @@ property! {
         let skip = run_chaos(EngineStrategy::EventSkip, &freqs, &nodes, &segments, reprogram, gate);
         assert_eq!(tick.0, skip.0, "per-node observable state diverged");
         assert_eq!(tick.1, skip.1, "work order diverged");
-        assert_eq!(tick.2, skip.2, "final simulated time diverged");
+        assert_eq!(tick.2, skip.2, "time, queue or clocks diverged");
         assert_eq!(tick.3, skip.3, "dispatched-action accounting diverged");
     }
 
@@ -457,7 +478,7 @@ property! {
         let tick = run(EngineStrategy::Tick);
         let skip = run(EngineStrategy::EventSkip);
         assert_eq!(tick.1, skip.1, "work order diverged");
-        assert_eq!(tick, skip, "clocks, time or action accounting diverged");
+        assert_eq!(tick, skip, "consumption, time, queue or clocks diverged");
     }
 }
 
@@ -554,7 +575,7 @@ fn run_sleepers(
     busy: bool,
     (gap, burst, bursts): (u64, u64, u64),
     segments: &[u64],
-) -> (Vec<u64>, Vec<WorkEntry>, u64, u64) {
+) -> (Vec<u64>, Vec<WorkEntry>, Vec<String>) {
     let mut e = Engine::with_strategy(strategy);
     let log = WorkLog::default();
     let add_sleeper_domains = |e: &mut Engine| -> Vec<_> {
@@ -617,9 +638,13 @@ fn run_sleepers(
         let node = ChaosNode::new(99, vec![1, 2, 3], None, true, 0, log.clone());
         e.add_component(node, Some(clk));
     }
-    for &us in segments {
-        e.run_for(SimDuration::from_micros(us));
-    }
+    let states = segments
+        .iter()
+        .map(|&us| {
+            e.run_for(SimDuration::from_micros(us));
+            kernel_state(&e)
+        })
+        .collect();
     let mut observed: Vec<u64> = sleeper_ids
         .iter()
         .map(|&id| e.component::<Sleeper>(id).consumed)
@@ -627,5 +652,5 @@ fn run_sleepers(
     observed.extend(sleep_clks.iter().map(|&d| e.clock_info(d).total_edges));
     observed.push(e.clock_info(feed_clk).total_edges);
     let work = log.borrow().clone();
-    (observed, work, e.now().as_ps(), e.actions_dispatched())
+    (observed, work, states)
 }

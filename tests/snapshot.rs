@@ -10,7 +10,7 @@
 
 use pdr_lab::fabric::AspKind;
 use pdr_lab::pdr::snapshot;
-use pdr_lab::pdr::{SystemConfig, TraceLevel, ZynqPdrSystem};
+use pdr_lab::pdr::{CampaignRun, FaultCampaign, SystemConfig, TraceLevel, ZynqPdrSystem};
 use pdr_lab::sim::json::Json;
 use pdr_lab::sim::{EngineStrategy, Frequency, SimDuration};
 
@@ -145,7 +145,7 @@ fn checkpoint_bytes_are_pinned() {
     // a codec refactor must leave each byte where it was. The documents are
     // hundreds of kilobytes, so the test pins their digests, not golden files.
     use pdr_lab::pdr::fleet::{FleetConfig, FleetRun};
-    use pdr_lab::pdr::{CampaignRun, FaultCampaign, ParallelExecutor};
+    use pdr_lab::pdr::ParallelExecutor;
 
     let mut got = Vec::new();
     for strategy in [EngineStrategy::EventSkip, EngineStrategy::Tick] {
@@ -164,8 +164,10 @@ fn checkpoint_bytes_are_pinned() {
     let pinned = [
         (219625, 0x754d9712738bba45), // system, event-skip
         (219451, 0x6cd0afc34c5985d6), // system, tick
-        (415396, 0xd0064455b0c151f0), // campaign after 3 steps
-        (9955, 0x645e9e952cad5d53),   // fleet after one epoch
+        // Campaign after 3 steps: its queue is the tick engine's (see
+        // `both_engines_checkpoint_the_same_campaign_tree`).
+        (415396, 0x545b4cf3f1690424),
+        (9955, 0x645e9e952cad5d53), // fleet after one epoch
     ];
     assert_eq!(got, pinned);
 }
@@ -196,13 +198,25 @@ fn diff_paths(a: &Json, b: &Json, path: &str, out: &mut Vec<String>) {
 /// on: a slot's wake bookkeeping (`due_cycle`), or a register file's read
 /// counter, which event-skip's `next_wake` polls inflate.
 fn kernel_private(path: &str) -> bool {
-    let Some(rest) = path.strip_prefix(".payload.engine.components[") else {
+    let Some((_, rest)) = path.split_once(".engine.components[") else {
         return false;
     };
     let Some((index, field)) = rest.split_once(']') else {
         return false;
     };
     index.parse::<usize>().is_ok() && matches!(field, ".due_cycle" | ".state.regs.reads")
+}
+
+/// Asserts two checkpoints are the same JSON tree apart from
+/// kernel-private paths.
+fn assert_same_tree(event_skip: &Json, tick: &Json) {
+    let mut differing = Vec::new();
+    diff_paths(event_skip, tick, "", &mut differing);
+    let unexpected: Vec<&String> = differing.iter().filter(|p| !kernel_private(p)).collect();
+    assert!(
+        unexpected.is_empty(),
+        "checkpoints differ across kernels at {unexpected:?}"
+    );
 }
 
 #[test]
@@ -216,16 +230,28 @@ fn both_engines_checkpoint_the_same_tree() {
         warm_up(&mut sys);
         snapshot::take(&sys)
     };
-    let mut differing = Vec::new();
-    diff_paths(
+    assert_same_tree(
         &take(EngineStrategy::EventSkip),
         &take(EngineStrategy::Tick),
-        "",
-        &mut differing,
     );
-    let unexpected: Vec<&String> = differing.iter().filter(|p| !kernel_private(p)).collect();
-    assert!(
-        unexpected.is_empty(),
-        "checkpoints differ across kernels at {unexpected:?}"
+}
+
+#[test]
+fn both_engines_checkpoint_the_same_campaign_tree() {
+    // A campaign's system soaks through long idle spans, where every
+    // domain parks and folds in closed form; the queue it leaves must
+    // still carry the tick engine's sequence numbers.
+    let campaign = |strategy| {
+        let mut system = FaultCampaign::fast_system();
+        system.strategy = strategy;
+        let mut run = CampaignRun::new(system, FaultCampaign::default());
+        for _ in 0..3 {
+            run.step();
+        }
+        run.checkpoint()
+    };
+    assert_same_tree(
+        &campaign(EngineStrategy::EventSkip),
+        &campaign(EngineStrategy::Tick),
     );
 }
