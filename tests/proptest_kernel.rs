@@ -458,8 +458,8 @@ property! {
 
     /// Long sleepers woken across domains: a feeder pushes bursts into the
     /// FIFOs of sleepers that declare `Idle` between bursts, each sleeper on
-    /// its own clock domain, and a busy chaos node keeps real edges queued
-    /// around them. On a shared edge grid every push lands on an instant
+    /// its own clock domain, and optionally a busy chaos node keeps real
+    /// edges queued around them. On a shared edge grid every push lands on an instant
     /// where the sleepers also have an edge, so whether a sleeper sees the
     /// beat on that edge or the next depends only on the tie order of
     /// same-instant edges; co-prime grids share an instant every few edges.
@@ -483,14 +483,13 @@ property! {
 }
 
 /// Pushes `burst` beats, round-robin over the sleepers' FIFOs, on every
-/// `gap`-th edge of its domain, and counts the pings sleepers send back.
+/// `gap`-th edge of its domain, and logs the pings sleepers send back.
 struct Feeder {
     gap: u64,
     burst: u64,
     bursts_left: u64,
     outputs: Vec<Producer<u64>>,
     next_out: usize,
-    last_cycle: u64,
     log: WorkLog,
 }
 
@@ -501,7 +500,6 @@ impl Component for Feeder {
 
     fn on_clock_edge(&mut self, ctx: &mut EdgeCtx<'_>) {
         let cycle = ctx.cycle();
-        self.last_cycle = cycle;
         if self.bursts_left == 0 || !cycle.is_multiple_of(self.gap) {
             return;
         }
@@ -524,10 +522,6 @@ impl Component for Feeder {
         } else {
             NextWake::In(self.gap - now_cycle % self.gap)
         }
-    }
-
-    fn catch_up(&mut self, cycle: u64) {
-        self.last_cycle = self.last_cycle.max(cycle);
     }
 }
 
@@ -602,7 +596,6 @@ fn run_sleepers(
         bursts_left: bursts,
         outputs: txs,
         next_out: 0,
-        last_cycle: 0,
         log: log.clone(),
     };
     // Components register in the same order as their domains.
