@@ -48,7 +48,8 @@ use pdr_sim_core::rng::Xoshiro256StarStar;
 use pdr_sim_core::stats::{BoundedQuantiles, OnlineStats};
 use pdr_sim_core::{impl_json_struct, SimDuration};
 
-use crate::campaign::{ParallelExecutor, StatsSummary};
+use crate::executor::ParallelExecutor;
+use crate::report::StatsSummary;
 use crate::scheduler::FetchModel;
 use crate::snapshot;
 use crate::system::SystemConfig;

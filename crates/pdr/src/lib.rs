@@ -51,6 +51,7 @@ pub mod baselines;
 pub mod campaign;
 pub mod clockwizard;
 pub mod crc_readback;
+pub mod executor;
 pub mod experiments;
 pub mod faults;
 pub mod fleet;
@@ -68,11 +69,11 @@ pub mod trace;
 pub use campaign::{
     bisect_campaigns, bisect_plans, fork_replicas, run_fault_campaign, run_seu_campaign,
     shard_report, BisectOutcome, CampaignResult, CampaignRun, DistSummary, FaultCampaign,
-    FaultCampaignResult, FaultOutcome, FaultRecord, MonteCarloReport, ParallelExecutor, ReplicaRow,
-    SeuCampaign, StatsSummary, THREADS_ENV,
+    FaultCampaignResult, FaultOutcome, FaultRecord, MonteCarloReport, ReplicaRow, SeuCampaign,
 };
 pub use clockwizard::ClockWizard;
 pub use crc_readback::CrcReadback;
+pub use executor::{ParallelExecutor, THREADS_ENV};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultPlanConfig};
 pub use fleet::{
     Board, Calibration, FleetConfig, FleetReport, FleetRun, PlacementRing, TrafficConfig,
@@ -84,7 +85,7 @@ pub use governor::{
     Objective, OperatingPoint,
 };
 pub use recovery::{PartitionHealth, RecoveryConfig, RecoveryManager, RecoveryStats};
-pub use report::{CrcStatus, ReconfigError, ReconfigReport, TimeoutCause};
+pub use report::{CrcStatus, ReconfigError, ReconfigReport, StatsSummary, TimeoutCause};
 pub use scheduler::{
     FetchModel, ReconfigRequest, RejectReason, RequestRecord, Scheduler, SchedulerConfig,
     SchedulerReport,

@@ -28,9 +28,8 @@ use pdr_sim_core::json::{from_hex, to_hex, FromJson, Json, JsonError, ToJson};
 use pdr_sim_core::stats::OnlineStats;
 use pdr_sim_core::{impl_json_enum, impl_json_struct, Frequency, SimDuration};
 
-use crate::campaign::StatsSummary;
 use crate::governor::Governor;
-use crate::report::{ReconfigError, ReconfigReport};
+use crate::report::{ReconfigError, ReconfigReport, StatsSummary};
 use crate::system::ZynqPdrSystem;
 use crate::trace::TraceEvent;
 

@@ -1,6 +1,7 @@
 //! Reconfiguration reports: what one `reconfigure` call observed.
 
 use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
+use pdr_sim_core::stats::OnlineStats;
 use pdr_sim_core::{impl_json_enum, impl_json_struct, Frequency, SimDuration};
 
 /// Outcome of the CRC read-back verification.
@@ -216,6 +217,69 @@ impl ReconfigReport {
             thpt,
             crc
         )
+    }
+}
+
+/// A serialisable summary of an [`OnlineStats`] accumulator.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StatsSummary {
+    /// Sample count.
+    pub count: u64,
+    /// Mean.
+    pub mean: f64,
+    /// Standard deviation.
+    pub std_dev: f64,
+    /// Minimum.
+    pub min: f64,
+    /// Maximum.
+    pub max: f64,
+}
+
+impl_json_struct!(StatsSummary {
+    count,
+    mean,
+    std_dev,
+    min,
+    max
+});
+
+impl StatsSummary {
+    /// The canonical zero-sample summary: every field zero. A campaign that
+    /// recorded nothing (e.g. a zero-fault recovery run) must still produce
+    /// a well-defined, JSON-round-trippable summary, not NaN placeholders.
+    pub const EMPTY: StatsSummary = StatsSummary {
+        count: 0,
+        mean: 0.0,
+        std_dev: 0.0,
+        min: 0.0,
+        max: 0.0,
+    };
+
+    /// True when every field is finite (the codec renders non-finite floats
+    /// as `null`, which then fails to decode — reports must never do that).
+    pub fn is_json_safe(&self) -> bool {
+        self.mean.is_finite()
+            && self.std_dev.is_finite()
+            && self.min.is_finite()
+            && self.max.is_finite()
+    }
+}
+
+impl From<&OnlineStats> for StatsSummary {
+    fn from(s: &OnlineStats) -> Self {
+        if s.count() == 0 {
+            return StatsSummary::EMPTY;
+        }
+        // Defensive: a NaN pushed upstream would contaminate every Welford
+        // moment. Clamp to 0.0 rather than serialize a non-finite float.
+        let sanitize = |v: f64| if v.is_finite() { v } else { 0.0 };
+        StatsSummary {
+            count: s.count(),
+            mean: sanitize(s.mean()),
+            std_dev: sanitize(s.std_dev()),
+            min: sanitize(s.min().unwrap_or(0.0)),
+            max: sanitize(s.max().unwrap_or(0.0)),
+        }
     }
 }
 

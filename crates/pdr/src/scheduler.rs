@@ -48,9 +48,8 @@ use pdr_sim_core::json::{Json, JsonError, ToJson};
 use pdr_sim_core::stats::SampleSeries;
 use pdr_sim_core::{impl_json_enum, impl_json_struct, Frequency, SimDuration, SimTime};
 
-use crate::campaign::StatsSummary;
 use crate::recovery::{PartitionHealth, RecoveryManager};
-use crate::report::ReconfigError;
+use crate::report::{ReconfigError, StatsSummary};
 use crate::sdcard::SdCard;
 use crate::system::ZynqPdrSystem;
 use crate::trace::TraceEvent;

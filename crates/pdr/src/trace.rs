@@ -51,8 +51,8 @@ use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
 use pdr_sim_core::stats::SampleSeries;
 use pdr_sim_core::{impl_json_enum, impl_json_struct, SimTime};
 
-use crate::campaign::StatsSummary;
 use crate::faults::FaultKind;
+use crate::report::StatsSummary;
 
 /// How much the sink records. Doubles as the cost dial: `Off` is a single
 /// predicted branch on the hot path, `Counters` a handful of integer adds,

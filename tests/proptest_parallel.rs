@@ -9,7 +9,8 @@
 
 use pdr_testkit::{property, tuple4, u64s, usizes, vec_of, Config};
 
-use pdr_lab::pdr::campaign::{CampaignRun, FaultCampaign, ParallelExecutor};
+use pdr_lab::pdr::campaign::{CampaignRun, FaultCampaign};
+use pdr_lab::pdr::executor::ParallelExecutor;
 use pdr_lab::pdr::fork_replicas;
 use pdr_lab::sim::json::ToJson;
 use pdr_lab::sim::stats::OnlineStats;
