@@ -18,8 +18,7 @@
 use pdr_bench::harness::{BatchSize, Criterion, Throughput};
 use pdr_bench::{publish, Table};
 use pdr_core::{
-    fork_replicas, snapshot, CampaignRun, FaultCampaign, MonteCarloReport, ParallelExecutor,
-    SystemConfig,
+    snapshot, CampaignRun, FaultCampaign, MonteCarloReport, ParallelExecutor, SystemConfig,
 };
 use pdr_sim_core::json::{Json, ToJson};
 use pdr_sim_core::{EngineStrategy, SimDuration};
@@ -79,8 +78,7 @@ fn main() {
     let mut fleets: Vec<(&str, MonteCarloReport, usize)> = Vec::new();
     for (engine_name, strategy) in engines {
         let (checkpoint, warm) = warmed_checkpoint(strategy);
-        let serial = fork_replicas(&config(strategy), &campaign(), &checkpoint, &seeds())
-            .expect("serial fork");
+        let serial = soak(strategy, &checkpoint, &ParallelExecutor::serial());
         let serial_json = serial.to_json_string();
         for threads in THREADS {
             let parallel = soak(strategy, &checkpoint, &ParallelExecutor::new(threads));

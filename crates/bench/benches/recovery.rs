@@ -11,7 +11,7 @@
 //!    reporting detection latency, MTTR and availability.
 
 use pdr_bench::{publish, Table};
-use pdr_core::campaign::{run_fault_campaign, FaultCampaign};
+use pdr_core::campaign::{CampaignRun, FaultCampaign};
 use pdr_core::recovery::{RecoveryConfig, RecoveryManager};
 use pdr_core::system::{SystemConfig, ZynqPdrSystem};
 use pdr_fabric::AspKind;
@@ -56,8 +56,8 @@ fn main() {
     }
 
     // -- mixed-fault campaign MTTR ----------------------------------------
-    let mut sys = ZynqPdrSystem::new(FaultCampaign::fast_system());
-    let r = run_fault_campaign(&mut sys, &FaultCampaign::default());
+    let r = CampaignRun::new(FaultCampaign::fast_system(), FaultCampaign::default())
+        .run_to_end(&mut |_| {});
     assert_eq!(r.detected, r.events);
     assert_eq!(r.recovered, r.detected);
     assert_eq!(r.silent_corruptions, 0);

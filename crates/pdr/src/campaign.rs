@@ -14,6 +14,8 @@
 //! the scan that first re-reads the flipped frame — the campaign checks the
 //! measured distribution against that bound.
 
+use pdr_bitstream::FRAME_WORDS;
+use pdr_fabric::Floorplan;
 use pdr_sim_core::json::{Json, JsonError, ToJson};
 use pdr_sim_core::stats::OnlineStats;
 use pdr_sim_core::{
@@ -237,7 +239,7 @@ impl FaultCampaign {
     }
 }
 
-/// Aggregate outcome of [`run_fault_campaign`]. Serialisable; two runs from
+/// Aggregate outcome of a [`CampaignRun`]. Serialisable; two runs from
 /// the same seed produce byte-identical JSON.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultCampaignResult {
@@ -395,252 +397,52 @@ impl_json_struct!(CampaignState {
     scan_ps
 });
 
-/// Brings the system into service for a campaign: asserts the plan is in
-/// scope, configures every partition (initial content becomes the golden
-/// reference) and arms the background monitor.
-fn init_campaign(
-    sys: &mut ZynqPdrSystem,
+/// Checks that every event of `plan` can be injected into a campaign over
+/// `campaign.rps` on `floorplan`: an SEU must target a monitored partition
+/// at a frame, word and bit inside it, and a timing burst must derate by a
+/// finite, non-negative amount. [`CampaignRun::step`] cannot panic on the
+/// coordinates of a plan that passes.
+fn check_plan(
     campaign: &FaultCampaign,
+    floorplan: &Floorplan,
     plan: &FaultPlan,
-) -> (RecoveryManager, CampaignState) {
-    assert!(
-        !campaign.rps.is_empty(),
-        "campaign needs monitored partitions"
-    );
-    for e in plan.events.iter().filter(|e| e.kind == FaultKind::Seu) {
-        assert!(
-            campaign.rps.contains(&e.rp),
-            "plan targets partition {} outside the monitored set",
-            e.rp
-        );
-    }
-    let scrub = Frequency::from_mhz(campaign.recovery.scrub_mhz);
-    let mut mgr = RecoveryManager::for_system(sys, campaign.recovery);
-    for (i, &rp) in campaign.rps.iter().enumerate() {
-        let bs = sys.make_partial_bitstream(rp, i as u32 + 1);
-        let out = mgr.reconfigure(sys, None, rp, &bs, scrub);
-        assert!(out.succeeded(), "initial configuration of rp{rp} failed");
-    }
-    sys.start_background_monitor(&campaign.rps);
-    let st = CampaignState {
-        idx: 0,
-        detected: 0,
-        undetected: 0,
-        benign: 0,
-        skipped: 0,
-        recovered: 0,
-        unrecovered: 0,
-        downtime_ps: 0,
-        quarantined_at: vec![None; sys.floorplan().partitions().len()],
-        rr: 0,
-        t0_ps: sys.now(),
-        scan_ps: sys.monitor_scan_period(),
+) -> Result<(), JsonError> {
+    let frames = |rp: usize| {
+        floorplan
+            .partitions()
+            .get(rp)
+            .map_or(0, |p| p.frame_count(floorplan.geometry()))
     };
-    (mgr, st)
-}
-
-/// Handles the next scheduled event: advances simulated time to its slot,
-/// injects it, lets the monitor/recovery machinery resolve it, and folds
-/// the outcome into the running counters. Returns the event's record, or
-/// `None` when the plan is exhausted.
-fn step_campaign(
-    sys: &mut ZynqPdrSystem,
-    mgr: &mut RecoveryManager,
-    campaign: &FaultCampaign,
-    plan: &FaultPlan,
-    st: &mut CampaignState,
-) -> Option<FaultRecord> {
-    let i = st.idx;
-    let e = plan.events.get(i)?;
-    st.idx += 1;
-    // Advance to the scheduled instant; events that fall behind the
-    // handling of their predecessors run back-to-back.
-    let elapsed = sys.now().duration_since(st.t0_ps).as_ps();
-    if e.at_ps > elapsed {
-        sys.run_monitor_for(SimDuration::from_ps(e.at_ps - elapsed));
+    for (i, e) in plan.events.iter().enumerate() {
+        let fault = match e.kind {
+            FaultKind::Seu if !campaign.rps.contains(&e.rp) => {
+                format!("targets partition {} outside the monitored set", e.rp)
+            }
+            FaultKind::Seu if e.frame >= frames(e.rp) => {
+                format!("targets frame {} outside partition {}", e.frame, e.rp)
+            }
+            FaultKind::Seu if e.word >= FRAME_WORDS => {
+                format!(
+                    "targets word {} outside the {FRAME_WORDS}-word frame",
+                    e.word
+                )
+            }
+            FaultKind::Seu if e.bit >= 32 => {
+                format!("targets bit {} outside the 32-bit word", e.bit)
+            }
+            FaultKind::TimingBurst if !(e.derate_mhz >= 0.0 && e.derate_mhz.is_finite()) => {
+                format!(
+                    "derates by {} MHz, not a finite non-negative value",
+                    e.derate_mhz
+                )
+            }
+            _ => continue,
+        };
+        return Err(JsonError {
+            msg: format!("plan event {i} {fault}"),
+        });
     }
-    let mut rec = FaultRecord {
-        idx: i as u64,
-        kind: e.kind,
-        seed: plan.fault_seed(i),
-        scheduled_ps: e.at_ps,
-        injected_ps: sys.now().as_ps(),
-        outcome: FaultOutcome::Skipped,
-        recovered: false,
-        latency_us: 0.0,
-        mttr_us: 0.0,
-    };
-    match e.kind {
-        FaultKind::Seu => {
-            if mgr.health(e.rp) == PartitionHealth::Quarantined {
-                st.skipped += 1;
-                return Some(rec);
-            }
-            sys.inject_seu(e.rp, e.frame, e.word, e.bit);
-            match sys.run_monitor_until_alarm(st.scan_ps * 3) {
-                Some(lat) => {
-                    st.detected += 1;
-                    rec.outcome = FaultOutcome::Detected;
-                    rec.latency_us = lat.as_micros_f64();
-                    st.downtime_ps += lat.as_ps();
-                    mgr.record_detection(lat);
-                    let out = mgr.on_crc_alarm(sys, e.rp);
-                    if out.succeeded() {
-                        st.recovered += 1;
-                        rec.recovered = true;
-                        let mttr = out.mttr.expect("recovered");
-                        rec.mttr_us = mttr.as_micros_f64();
-                        st.downtime_ps += mttr.as_ps();
-                    } else {
-                        st.unrecovered += 1;
-                        note_quarantines(mgr, &mut st.quarantined_at, sys.now());
-                    }
-                    restart_monitor(sys, mgr, &campaign.rps);
-                }
-                None => {
-                    st.undetected += 1;
-                    rec.outcome = FaultOutcome::Undetected;
-                }
-            }
-        }
-        kind => {
-            match kind {
-                FaultKind::TimingBurst => {
-                    sys.inject_timing_burst(e.derate_mhz, SimDuration::from_ps(e.duration_ps))
-                }
-                FaultKind::DmaStall => sys.inject_dma_stall(e.stall_cycles),
-                FaultKind::DroppedIrq => sys.drop_next_completion_irq(),
-                FaultKind::HeatSoak => {
-                    sys.inject_heat_soak(e.delta_mc, SimDuration::from_ps(e.duration_ps))
-                }
-                FaultKind::Seu => unreachable!("handled above"),
-            }
-            let n = campaign.rps.len();
-            let mut vehicle = None;
-            for k in 0..n {
-                let rp = campaign.rps[(st.rr + k) % n];
-                if mgr.health(rp) != PartitionHealth::Quarantined {
-                    vehicle = Some(rp);
-                    st.rr += k + 1;
-                    break;
-                }
-            }
-            let Some(rp) = vehicle else {
-                st.skipped += 1;
-                return Some(rec);
-            };
-            let bs = mgr.golden(rp).expect("configured at start");
-            let out = mgr.reconfigure(
-                sys,
-                None,
-                rp,
-                &bs,
-                Frequency::from_mhz(campaign.operating_mhz),
-            );
-            if out.recovered_after_failure || !out.succeeded() {
-                st.detected += 1;
-                rec.outcome = FaultOutcome::Detected;
-            } else {
-                st.benign += 1;
-                rec.outcome = FaultOutcome::Benign;
-            }
-            if out.succeeded() {
-                if out.recovered_after_failure {
-                    st.recovered += 1;
-                    rec.recovered = true;
-                    let mttr = out.mttr.expect("recovered");
-                    rec.mttr_us = mttr.as_micros_f64();
-                    st.downtime_ps += mttr.as_ps();
-                }
-            } else {
-                st.unrecovered += 1;
-                note_quarantines(mgr, &mut st.quarantined_at, sys.now());
-            }
-            restart_monitor(sys, mgr, &campaign.rps);
-        }
-    }
-    Some(rec)
-}
-
-/// The final golden sweep and availability accounting.
-fn finish_campaign(
-    sys: &ZynqPdrSystem,
-    mgr: &RecoveryManager,
-    campaign: &FaultCampaign,
-    plan: &FaultPlan,
-    st: &CampaignState,
-) -> FaultCampaignResult {
-    let end = sys.now();
-    let duration = end.duration_since(st.t0_ps);
-    let mut silent_corruptions = 0u64;
-    for &rp in &campaign.rps {
-        if mgr.health(rp) == PartitionHealth::Quarantined {
-            continue;
-        }
-        let golden = mgr.golden(rp).expect("configured at start");
-        if !sys.fabric_matches(&golden) {
-            silent_corruptions += 1;
-        }
-    }
-    let mut downtime_ps = st.downtime_ps;
-    for q in st.quarantined_at.iter().flatten() {
-        downtime_ps += end.duration_since(*q).as_ps();
-    }
-    let span_ps = duration
-        .as_ps()
-        .max(1)
-        .saturating_mul(campaign.rps.len() as u64);
-    let availability = (1.0 - downtime_ps as f64 / span_ps as f64).clamp(0.0, 1.0);
-
-    FaultCampaignResult {
-        seed: plan.seed,
-        events: plan.events.len() as u64,
-        injected_seu: plan.count(FaultKind::Seu) as u64,
-        injected_timing_bursts: plan.count(FaultKind::TimingBurst) as u64,
-        injected_dma_stalls: plan.count(FaultKind::DmaStall) as u64,
-        injected_dropped_irqs: plan.count(FaultKind::DroppedIrq) as u64,
-        detected: st.detected,
-        undetected: st.undetected,
-        benign: st.benign,
-        skipped: st.skipped,
-        recovered: st.recovered,
-        unrecovered: st.unrecovered,
-        silent_corruptions,
-        quarantined_partitions: mgr.stats().quarantines,
-        availability,
-        campaign_us: duration.as_micros_f64(),
-        recovery: mgr.stats(),
-    }
-}
-
-/// Runs a mixed-fault campaign: generates the plan, brings every partition
-/// into service (initial content becomes the golden reference), then walks
-/// the schedule. SEUs are detected by the background CRC monitor and
-/// scrubbed; timing bursts, DMA stalls and dropped interrupts are exercised
-/// through a managed reconfiguration on a round-robin vehicle partition, so
-/// the watchdog + retry/backoff ladder absorbs them. A final golden sweep
-/// counts silent corruptions.
-///
-/// Memory stays flat in the number of faults: per-event [`FaultRecord`]s
-/// are folded into the aggregate as they are produced and dropped — a
-/// 10⁶-fault campaign holds the same RSS as a 10-fault one. Use
-/// [`CampaignRun::run_to_end`] to observe the records.
-///
-/// Deterministic: the result (including its JSON) is a pure function of
-/// the campaign, the system configuration and their seeds.
-///
-/// # Panics
-///
-/// Panics if the campaign monitors no partitions, the plan targets a
-/// partition outside the monitored set, or initial configuration fails.
-pub fn run_fault_campaign(
-    sys: &mut ZynqPdrSystem,
-    campaign: &FaultCampaign,
-) -> FaultCampaignResult {
-    let plan = FaultPlan::generate(&campaign.plan, sys.floorplan());
-    let (mut mgr, mut st) = init_campaign(sys, campaign, &plan);
-    while step_campaign(sys, &mut mgr, campaign, &plan, &mut st).is_some() {}
-    finish_campaign(sys, &mgr, campaign, &plan, &st)
+    Ok(())
 }
 
 /// Re-arms the background monitor over the partitions still in service
@@ -667,22 +469,33 @@ fn note_quarantines(mgr: &RecoveryManager, at: &mut [Option<SimTime>], now: SimT
 }
 
 // ---------------------------------------------------------------------------
-// Crash-resumable campaign runner
+// The campaign runner
 // ---------------------------------------------------------------------------
 
-/// A stepwise, checkpointable fault campaign: the state `run_fault_campaign`
-/// keeps in locals, owned so it can be serialized between events.
+/// A mixed-fault campaign, handled one event at a time. SEUs are detected
+/// by the background CRC monitor and scrubbed; timing bursts, DMA stalls
+/// and dropped interrupts are exercised through a managed reconfiguration
+/// on a round-robin vehicle partition, so the watchdog + retry/backoff
+/// ladder absorbs them. [`CampaignRun::finish`] runs a final golden sweep
+/// that counts silent corruptions.
+///
+/// Memory stays flat in the number of faults: per-event [`FaultRecord`]s
+/// are handed to the caller as they are produced and never buffered — a
+/// 10⁶-fault campaign holds the same RSS as a 10-fault one.
+///
+/// Deterministic: the result (including its JSON) is a pure function of
+/// the campaign, the system configuration and their seeds.
 ///
 /// * [`CampaignRun::checkpoint`] captures the whole run — system snapshot,
 ///   recovery manager, plan, and counters — as a versioned JSON envelope;
 ///   [`CampaignRun::resume`] rebuilds a run from it that finishes
 ///   **byte-identically** to one that was never interrupted.
 /// * [`CampaignRun::replan`] re-seeds the remaining schedule, which is how
-///   [`fork_replicas`] fans a Monte Carlo fleet out of one warmed-up
-///   checkpoint.
+///   [`ParallelExecutor::fork_replicas`] fans a Monte Carlo fleet out of
+///   one warmed-up checkpoint.
 /// * [`CampaignRun::digest`] fingerprints the full observable state after
-///   each event, which is what [`bisect_campaigns`] binary-searches to pin
-///   a first divergence.
+///   each event, which is what [`bisect_plans`] binary-searches to pin a
+///   first divergence.
 pub struct CampaignRun {
     sys: ZynqPdrSystem,
     mgr: RecoveryManager,
@@ -697,26 +510,60 @@ impl CampaignRun {
     ///
     /// # Panics
     ///
-    /// As [`run_fault_campaign`].
+    /// As [`CampaignRun::with_plan`].
     pub fn new(config: SystemConfig, campaign: FaultCampaign) -> CampaignRun {
         let sys = ZynqPdrSystem::new(config);
         let plan = FaultPlan::generate(&campaign.plan, sys.floorplan());
         CampaignRun::with_plan(sys, campaign, plan)
     }
 
-    /// Builds a run over an explicit plan instead of generating one — the
-    /// hook for replaying an isolated fault ([`FaultPlan::isolate`]) or
-    /// planting a known divergence for [`bisect_campaigns`].
+    /// Builds a run over `sys` and an explicit plan instead of generating
+    /// one — the hook for replaying an isolated fault
+    /// ([`FaultPlan::isolate`]), planting a known divergence for
+    /// [`bisect_plans`], or raising the trace level before warm-up.
+    /// Configures every partition (initial content becomes the golden
+    /// reference) and arms the background monitor.
     ///
     /// # Panics
     ///
-    /// As [`run_fault_campaign`].
+    /// Panics if the campaign monitors no partitions, an event of the plan
+    /// cannot be injected (an SEU outside the monitored partitions or
+    /// outside its frame, word or bit range; a negative or non-finite
+    /// derate), or initial configuration fails.
     pub fn with_plan(
         mut sys: ZynqPdrSystem,
         campaign: FaultCampaign,
         plan: FaultPlan,
     ) -> CampaignRun {
-        let (mgr, st) = init_campaign(&mut sys, &campaign, &plan);
+        assert!(
+            !campaign.rps.is_empty(),
+            "campaign needs monitored partitions"
+        );
+        if let Err(e) = check_plan(&campaign, sys.floorplan(), &plan) {
+            panic!("{}", e.msg);
+        }
+        let scrub = Frequency::from_mhz(campaign.recovery.scrub_mhz);
+        let mut mgr = RecoveryManager::for_system(&sys, campaign.recovery);
+        for (i, &rp) in campaign.rps.iter().enumerate() {
+            let bs = sys.make_partial_bitstream(rp, i as u32 + 1);
+            let out = mgr.reconfigure(&mut sys, None, rp, &bs, scrub);
+            assert!(out.succeeded(), "initial configuration of rp{rp} failed");
+        }
+        sys.start_background_monitor(&campaign.rps);
+        let st = CampaignState {
+            idx: 0,
+            detected: 0,
+            undetected: 0,
+            benign: 0,
+            skipped: 0,
+            recovered: 0,
+            unrecovered: 0,
+            downtime_ps: 0,
+            quarantined_at: vec![None; sys.floorplan().partitions().len()],
+            rr: 0,
+            t0_ps: sys.now(),
+            scan_ps: sys.monitor_scan_period(),
+        };
         CampaignRun {
             sys,
             mgr,
@@ -726,15 +573,128 @@ impl CampaignRun {
         }
     }
 
-    /// Handles the next scheduled event; `None` when the plan is exhausted.
+    /// Handles the next scheduled event: advances simulated time to its
+    /// slot, injects it, lets the monitor/recovery machinery resolve it,
+    /// and folds the outcome into the running counters. Returns the
+    /// event's record, or `None` when the plan is exhausted.
     pub fn step(&mut self) -> Option<FaultRecord> {
-        step_campaign(
-            &mut self.sys,
-            &mut self.mgr,
-            &self.campaign,
-            &self.plan,
-            &mut self.st,
-        )
+        let CampaignRun {
+            sys,
+            mgr,
+            campaign,
+            plan,
+            st,
+        } = self;
+        let i = st.idx;
+        let e = plan.events.get(i)?;
+        st.idx += 1;
+        // Advance to the scheduled instant; events that fall behind the
+        // handling of their predecessors run back-to-back.
+        let elapsed = sys.now().duration_since(st.t0_ps).as_ps();
+        if e.at_ps > elapsed {
+            sys.run_monitor_for(SimDuration::from_ps(e.at_ps - elapsed));
+        }
+        let mut rec = FaultRecord {
+            idx: i as u64,
+            kind: e.kind,
+            seed: plan.fault_seed(i),
+            scheduled_ps: e.at_ps,
+            injected_ps: sys.now().as_ps(),
+            outcome: FaultOutcome::Skipped,
+            recovered: false,
+            latency_us: 0.0,
+            mttr_us: 0.0,
+        };
+        match e.kind {
+            FaultKind::Seu => {
+                if mgr.health(e.rp) == PartitionHealth::Quarantined {
+                    st.skipped += 1;
+                    return Some(rec);
+                }
+                sys.inject_seu(e.rp, e.frame, e.word, e.bit);
+                match sys.run_monitor_until_alarm(st.scan_ps * 3) {
+                    Some(lat) => {
+                        st.detected += 1;
+                        rec.outcome = FaultOutcome::Detected;
+                        rec.latency_us = lat.as_micros_f64();
+                        st.downtime_ps += lat.as_ps();
+                        mgr.record_detection(lat);
+                        let out = mgr.on_crc_alarm(sys, e.rp);
+                        if out.succeeded() {
+                            st.recovered += 1;
+                            rec.recovered = true;
+                            let mttr = out.mttr.expect("recovered");
+                            rec.mttr_us = mttr.as_micros_f64();
+                            st.downtime_ps += mttr.as_ps();
+                        } else {
+                            st.unrecovered += 1;
+                            note_quarantines(mgr, &mut st.quarantined_at, sys.now());
+                        }
+                        restart_monitor(sys, mgr, &campaign.rps);
+                    }
+                    None => {
+                        st.undetected += 1;
+                        rec.outcome = FaultOutcome::Undetected;
+                    }
+                }
+            }
+            kind => {
+                match kind {
+                    FaultKind::TimingBurst => {
+                        sys.inject_timing_burst(e.derate_mhz, SimDuration::from_ps(e.duration_ps))
+                    }
+                    FaultKind::DmaStall => sys.inject_dma_stall(e.stall_cycles),
+                    FaultKind::DroppedIrq => sys.drop_next_completion_irq(),
+                    FaultKind::HeatSoak => {
+                        sys.inject_heat_soak(e.delta_mc, SimDuration::from_ps(e.duration_ps))
+                    }
+                    FaultKind::Seu => unreachable!("handled above"),
+                }
+                let n = campaign.rps.len();
+                let mut vehicle = None;
+                for k in 0..n {
+                    let rp = campaign.rps[(st.rr + k) % n];
+                    if mgr.health(rp) != PartitionHealth::Quarantined {
+                        vehicle = Some(rp);
+                        st.rr += k + 1;
+                        break;
+                    }
+                }
+                let Some(rp) = vehicle else {
+                    st.skipped += 1;
+                    return Some(rec);
+                };
+                let bs = mgr.golden(rp).expect("configured at start");
+                let out = mgr.reconfigure(
+                    sys,
+                    None,
+                    rp,
+                    &bs,
+                    Frequency::from_mhz(campaign.operating_mhz),
+                );
+                if out.recovered_after_failure || !out.succeeded() {
+                    st.detected += 1;
+                    rec.outcome = FaultOutcome::Detected;
+                } else {
+                    st.benign += 1;
+                    rec.outcome = FaultOutcome::Benign;
+                }
+                if out.succeeded() {
+                    if out.recovered_after_failure {
+                        st.recovered += 1;
+                        rec.recovered = true;
+                        let mttr = out.mttr.expect("recovered");
+                        rec.mttr_us = mttr.as_micros_f64();
+                        st.downtime_ps += mttr.as_ps();
+                    }
+                } else {
+                    st.unrecovered += 1;
+                    note_quarantines(mgr, &mut st.quarantined_at, sys.now());
+                }
+                restart_monitor(sys, mgr, &campaign.rps);
+            }
+        }
+        Some(rec)
     }
 
     /// Runs every remaining event, streaming records into `sink` the moment
@@ -766,7 +726,54 @@ impl CampaignRun {
     /// the plan is exhausted; mid-run it reports the prefix handled so far
     /// against the full plan's injection counts).
     pub fn finish(&self) -> FaultCampaignResult {
-        finish_campaign(&self.sys, &self.mgr, &self.campaign, &self.plan, &self.st)
+        let CampaignRun {
+            sys,
+            mgr,
+            campaign,
+            plan,
+            st,
+        } = self;
+        let end = sys.now();
+        let duration = end.duration_since(st.t0_ps);
+        let mut silent_corruptions = 0u64;
+        for &rp in &campaign.rps {
+            if mgr.health(rp) == PartitionHealth::Quarantined {
+                continue;
+            }
+            let golden = mgr.golden(rp).expect("configured at start");
+            if !sys.fabric_matches(&golden) {
+                silent_corruptions += 1;
+            }
+        }
+        let mut downtime_ps = st.downtime_ps;
+        for q in st.quarantined_at.iter().flatten() {
+            downtime_ps += end.duration_since(*q).as_ps();
+        }
+        let span_ps = duration
+            .as_ps()
+            .max(1)
+            .saturating_mul(campaign.rps.len() as u64);
+        let availability = (1.0 - downtime_ps as f64 / span_ps as f64).clamp(0.0, 1.0);
+
+        FaultCampaignResult {
+            seed: plan.seed,
+            events: plan.events.len() as u64,
+            injected_seu: plan.count(FaultKind::Seu) as u64,
+            injected_timing_bursts: plan.count(FaultKind::TimingBurst) as u64,
+            injected_dma_stalls: plan.count(FaultKind::DmaStall) as u64,
+            injected_dropped_irqs: plan.count(FaultKind::DroppedIrq) as u64,
+            detected: st.detected,
+            undetected: st.undetected,
+            benign: st.benign,
+            skipped: st.skipped,
+            recovered: st.recovered,
+            unrecovered: st.unrecovered,
+            silent_corruptions,
+            quarantined_partitions: mgr.stats().quarantines,
+            availability,
+            campaign_us: duration.as_micros_f64(),
+            recovery: mgr.stats(),
+        }
     }
 
     /// The system under test.
@@ -805,7 +812,8 @@ impl CampaignRun {
     /// Rebuilds a run from a [`CampaignRun::checkpoint`]. `config` and
     /// `campaign` must be the ones the checkpointed run was built from
     /// (the plan itself travels inside the checkpoint); a structural
-    /// mismatch is rejected before any state is mutated.
+    /// mismatch, or a plan event [`CampaignRun::step`] could not inject,
+    /// is rejected as an error.
     pub fn resume(
         config: SystemConfig,
         campaign: FaultCampaign,
@@ -836,6 +844,7 @@ impl CampaignRun {
                 ),
             });
         }
+        check_plan(&campaign, sys.floorplan(), &plan)?;
         Ok(CampaignRun {
             sys,
             mgr,
@@ -852,7 +861,7 @@ impl CampaignRun {
     /// its own fault draws. Events already running behind schedule are
     /// handled back-to-back, exactly as in an uninterrupted run;
     /// accumulated counters and downtime carry over. This is the
-    /// per-replica divergence point of [`fork_replicas`].
+    /// per-replica divergence point of [`ParallelExecutor::fork_replicas`].
     pub fn replan(&mut self, seed: u64) {
         let mut pc = self.campaign.plan.clone();
         pc.seed = seed;
@@ -1038,7 +1047,8 @@ pub struct MonteCarloReport {
     pub quarantined_partitions: u64,
     /// Availability distribution across replicas (mean, p50/p99, 95% CI).
     pub availability: DistSummary,
-    /// Per-replica rows, in seed order given to [`fork_replicas`].
+    /// Per-replica rows, in the seed order given to
+    /// [`ParallelExecutor::fork_replicas`].
     pub per_replica: Vec<ReplicaRow>,
 }
 
@@ -1066,28 +1076,6 @@ struct ReplicaOutcome {
     fragment: OnlineStats,
 }
 
-/// Folds a finished replica's report into the merge inputs. The replica's
-/// plan length counts only its own schedule; what it handled is the warm-up
-/// prefix plus its re-seeded remainder — every handled event lands in
-/// exactly one outcome bucket.
-fn outcome_of(seed: u64, result: FaultCampaignResult) -> ReplicaOutcome {
-    let handled = result.detected + result.undetected + result.benign + result.skipped;
-    let mut fragment = OnlineStats::new();
-    fragment.push(result.availability);
-    ReplicaOutcome {
-        row: ReplicaRow {
-            seed,
-            events: handled,
-            detected: result.detected,
-            recovered: result.recovered,
-            unrecovered: result.unrecovered,
-            availability: result.availability,
-        },
-        result,
-        fragment,
-    }
-}
-
 /// One replica of a Monte Carlo fork, start to finish: resume the shared
 /// warmed checkpoint, re-seed the remaining schedule, run to completion.
 /// A pure function of its inputs — the unit of work [`ParallelExecutor`]
@@ -1101,7 +1089,24 @@ fn run_replica(
     let mut run = CampaignRun::resume(config.clone(), campaign.clone(), checkpoint)?;
     run.replan(seed);
     let result = run.run_to_end(&mut |_| {});
-    Ok(outcome_of(seed, result))
+    // The replica's plan length counts only its own schedule; what it
+    // handled is the warm-up prefix plus its re-seeded remainder — every
+    // handled event lands in exactly one outcome bucket.
+    let handled = result.detected + result.undetected + result.benign + result.skipped;
+    let mut fragment = OnlineStats::new();
+    fragment.push(result.availability);
+    Ok(ReplicaOutcome {
+        row: ReplicaRow {
+            seed,
+            events: handled,
+            detected: result.detected,
+            recovered: result.recovered,
+            unrecovered: result.unrecovered,
+            availability: result.availability,
+        },
+        result,
+        fragment,
+    })
 }
 
 /// Merges replica outcomes — **already in replica-index order** — into the
@@ -1146,34 +1151,17 @@ fn merge_replicas(outcomes: Vec<ReplicaOutcome>) -> MonteCarloReport {
     report
 }
 
-/// Fans N Monte Carlo replicas out of one warmed-up checkpoint: each
-/// replica resumes the checkpoint, re-seeds the remaining schedule with its
-/// own seed ([`CampaignRun::replan`]), runs to completion, and the results
-/// merge into a fleet report with confidence intervals. Deterministic: the
-/// same checkpoint and seed set produce a byte-identical report.
-///
-/// This is the serial reference path; [`ParallelExecutor::fork_replicas`]
-/// produces the same bytes from a worker pool.
-///
-/// # Panics
-///
-/// Panics if `seeds` is empty.
-pub fn fork_replicas(
-    config: &SystemConfig,
-    campaign: &FaultCampaign,
-    checkpoint: &Json,
-    seeds: &[u64],
-) -> Result<MonteCarloReport, JsonError> {
-    ParallelExecutor::serial().fork_replicas(config, campaign, checkpoint, seeds)
-}
-
 impl ParallelExecutor {
-    /// [`fork_replicas`] across the worker pool: every replica restores its
-    /// own system from the shared warmed checkpoint, runs to completion
-    /// with its own RNG and trace sink, and the outcomes are committed in
-    /// replica-index order regardless of completion order. Byte-identical
-    /// to the serial path for any thread count. A resume failure reports
-    /// the error of the lowest-indexed failing replica, deterministically.
+    /// Fans N Monte Carlo replicas out of one warmed-up checkpoint across
+    /// the worker pool: each replica resumes the checkpoint into its own
+    /// system, re-seeds the remaining schedule with its own seed
+    /// ([`CampaignRun::replan`]), runs to completion with its own RNG and
+    /// trace sink, and the results merge into a fleet report with
+    /// confidence intervals. Outcomes are committed in replica-index order
+    /// regardless of completion order, so the same checkpoint and seed set
+    /// produce a byte-identical report for any thread count. A resume
+    /// failure reports the error of the lowest-indexed failing replica,
+    /// deterministically.
     ///
     /// # Panics
     ///
@@ -1195,51 +1183,13 @@ impl ParallelExecutor {
         }
         Ok(merge_replicas(collected))
     }
-
-    /// Sharded soak: runs one full [`CampaignRun`] per seed — fresh system,
-    /// fresh plan, no shared checkpoint — across the worker pool, returning
-    /// the per-shard reports in seed order. Each report is byte-identical
-    /// to what [`run_fault_campaign`] produces for that seed; use
-    /// [`shard_report`] to merge them into a fleet view.
-    pub fn run_shards(
-        &self,
-        config: &SystemConfig,
-        campaign: &FaultCampaign,
-        seeds: &[u64],
-    ) -> Vec<FaultCampaignResult> {
-        self.map(seeds.len(), |i| {
-            let mut sharded = campaign.clone();
-            sharded.plan.seed = seeds[i];
-            let mut run = CampaignRun::new(config.clone(), sharded);
-            run.run_to_end(&mut |_| {})
-        })
-    }
-}
-
-/// Merges per-shard soak reports (from [`ParallelExecutor::run_shards`],
-/// in the same seed order) into a [`MonteCarloReport`] through the same
-/// ordered fold the replica fork uses.
-///
-/// # Panics
-///
-/// Panics if `seeds` and `results` differ in length or are empty.
-pub fn shard_report(seeds: &[u64], results: &[FaultCampaignResult]) -> MonteCarloReport {
-    assert_eq!(seeds.len(), results.len(), "one result per shard seed");
-    assert!(!seeds.is_empty(), "shard report needs at least one shard");
-    merge_replicas(
-        seeds
-            .iter()
-            .zip(results)
-            .map(|(&seed, r)| outcome_of(seed, r.clone()))
-            .collect(),
-    )
 }
 
 // ---------------------------------------------------------------------------
 // First-divergence bisection
 // ---------------------------------------------------------------------------
 
-/// Outcome of [`bisect_campaigns`] / [`bisect_plans`].
+/// Outcome of [`bisect_plans`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BisectOutcome {
     /// 0-based plan index of the first event whose handling diverged. When
@@ -1268,17 +1218,6 @@ impl_json_struct!(BisectOutcome {
     digests,
     compared_events,
 });
-
-/// [`bisect_plans`] over the plans the two campaign configs generate.
-pub fn bisect_campaigns(
-    config: &SystemConfig,
-    a: &FaultCampaign,
-    b: &FaultCampaign,
-) -> Result<Option<BisectOutcome>, JsonError> {
-    let plan_a = FaultPlan::generate(&a.plan, &config.floorplan);
-    let plan_b = FaultPlan::generate(&b.plan, &config.floorplan);
-    bisect_plans(config, a, b, plan_a, plan_b)
-}
 
 /// Pins the first event at which two campaigns diverge, in O(log n) partial
 /// replays instead of an O(n) event-by-event comparison.
@@ -1472,9 +1411,8 @@ mod tests {
 
     #[test]
     fn fault_campaign_detects_and_recovers_everything() {
-        let mut sys = ZynqPdrSystem::new(FaultCampaign::fast_system());
-        let c = small_fault_campaign();
-        let r = run_fault_campaign(&mut sys, &c);
+        let mut run = CampaignRun::new(FaultCampaign::fast_system(), small_fault_campaign());
+        let r = run.run_to_end(&mut |_| {});
         assert!(r.events >= 5, "{r:?}");
         assert_eq!(r.detected, r.events, "{r:?}");
         assert_eq!(
@@ -1493,10 +1431,9 @@ mod tests {
     #[test]
     fn fault_campaign_is_replay_identical() {
         let run = |seed| {
-            let mut sys = ZynqPdrSystem::new(FaultCampaign::fast_system());
             let mut c = small_fault_campaign();
             c.plan.seed = seed;
-            run_fault_campaign(&mut sys, &c)
+            CampaignRun::new(FaultCampaign::fast_system(), c).run_to_end(&mut |_| {})
         };
         let (a, b) = (run(5), run(5));
         assert_eq!(a, b);
@@ -1527,17 +1464,6 @@ mod tests {
         assert_eq!(counts[2], r.benign);
         assert_eq!(counts[3], r.skipped);
         assert_eq!(counts[4], r.recovered);
-    }
-
-    #[test]
-    fn stepwise_runner_matches_the_one_shot_entry_point() {
-        let c = small_fault_campaign();
-        let mut sys = ZynqPdrSystem::new(FaultCampaign::fast_system());
-        let direct = run_fault_campaign(&mut sys, &c);
-        let mut run = CampaignRun::new(FaultCampaign::fast_system(), c);
-        let stepped = run.run_to_end(&mut |_| {});
-        assert_eq!(direct, stepped);
-        assert_eq!(direct.to_json_string(), stepped.to_json_string());
     }
 
     #[test]
@@ -1610,8 +1536,9 @@ mod tests {
         }
         let ckpt = warm.checkpoint();
         let seeds: Vec<u64> = (100..108).collect();
-        let a = fork_replicas(&cfg, &c, &ckpt, &seeds).expect("fork");
-        let b = fork_replicas(&cfg, &c, &ckpt, &seeds).expect("fork");
+        let serial = ParallelExecutor::serial();
+        let a = serial.fork_replicas(&cfg, &c, &ckpt, &seeds).expect("fork");
+        let b = serial.fork_replicas(&cfg, &c, &ckpt, &seeds).expect("fork");
         assert_eq!(a, b, "same checkpoint + seeds must merge identically");
         assert_eq!(a.to_json_string(), b.to_json_string());
         assert_eq!(a.replicas, 8);
@@ -1636,7 +1563,9 @@ mod tests {
         }
         let ckpt = warm.checkpoint();
         let seeds: Vec<u64> = (300..306).collect();
-        let serial = fork_replicas(&cfg, &c, &ckpt, &seeds).expect("serial fork");
+        let serial = ParallelExecutor::serial()
+            .fork_replicas(&cfg, &c, &ckpt, &seeds)
+            .expect("serial fork");
         for threads in [2, 3, 8] {
             let parallel = ParallelExecutor::new(threads)
                 .fork_replicas(&cfg, &c, &ckpt, &seeds)
@@ -1648,31 +1577,6 @@ mod tests {
                 "threads={threads}: merged fleet JSON must be byte-identical"
             );
         }
-    }
-
-    #[test]
-    fn sharded_soaks_match_the_one_shot_runner() {
-        let c = small_fault_campaign();
-        let cfg = FaultCampaign::fast_system();
-        let seeds = [11u64, 12, 13, 14];
-        let shards = ParallelExecutor::new(4).run_shards(&cfg, &c, &seeds);
-        assert_eq!(shards.len(), seeds.len());
-        for (&seed, shard) in seeds.iter().zip(&shards) {
-            let mut sys = ZynqPdrSystem::new(FaultCampaign::fast_system());
-            let mut sharded = c.clone();
-            sharded.plan.seed = seed;
-            let direct = run_fault_campaign(&mut sys, &sharded);
-            assert_eq!(&direct, shard, "seed {seed}");
-            assert_eq!(direct.to_json_string(), shard.to_json_string());
-        }
-        let merged = shard_report(&seeds, &shards);
-        assert_eq!(merged.replicas, 4);
-        assert_eq!(
-            merged.events,
-            shards.iter().map(|r| r.events).sum::<u64>(),
-            "full shards handle their whole plans"
-        );
-        assert_eq!(merged, shard_report(&seeds, &shards), "merge is stable");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::sync::mpsc;
 /// bytes; the variable only trades wall-clock for cores.
 pub const THREADS_ENV: &str = "PDR_THREADS";
 
-/// Fans independent campaign work — Monte Carlo replicas, sharded soaks —
+/// Fans independent work — Monte Carlo campaign replicas, fleet shards —
 /// across `std::thread` workers under a deterministic merge contract:
 /// for any seed set and any thread count (including 1), the merged
 /// [`MonteCarloReport`](crate::campaign::MonteCarloReport), its availability

@@ -67,9 +67,9 @@ pub mod system;
 pub mod trace;
 
 pub use campaign::{
-    bisect_campaigns, bisect_plans, fork_replicas, run_fault_campaign, run_seu_campaign,
-    shard_report, BisectOutcome, CampaignResult, CampaignRun, DistSummary, FaultCampaign,
-    FaultCampaignResult, FaultOutcome, FaultRecord, MonteCarloReport, ReplicaRow, SeuCampaign,
+    bisect_plans, run_seu_campaign, BisectOutcome, CampaignResult, CampaignRun, DistSummary,
+    FaultCampaign, FaultCampaignResult, FaultOutcome, FaultRecord, MonteCarloReport, ReplicaRow,
+    SeuCampaign,
 };
 pub use clockwizard::ClockWizard;
 pub use crc_readback::CrcReadback;

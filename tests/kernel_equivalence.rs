@@ -11,7 +11,7 @@
 
 use pdr_lab::fabric::AspKind;
 use pdr_lab::pdr::{
-    run_fault_campaign, FaultCampaign, FaultCampaignResult, ReconfigRequest, RecoveryConfig,
+    CampaignRun, FaultCampaign, FaultCampaignResult, FaultPlan, ReconfigRequest, RecoveryConfig,
     RecoveryManager, Scheduler, SchedulerConfig, SchedulerReport, SdCard, SystemConfig, TraceLevel,
     ZynqPdrSystem,
 };
@@ -41,7 +41,7 @@ struct Observed {
     reconfigs: u64,
 }
 
-fn observe(mut sys: ZynqPdrSystem) -> Observed {
+fn observe(sys: &mut ZynqPdrSystem) -> Observed {
     let tape = sys.tracer().export_jsonl();
     let counters = format!("{:?}", sys.tracer().counters());
     let interconnect = format!("{:?}", sys.interconnect_stats());
@@ -106,7 +106,7 @@ fn reconfig_scenario(strategy: EngineStrategy) -> ZynqPdrSystem {
 
 #[test]
 fn reconfig_tape_is_identical_across_engines_and_matches_golden() {
-    let [tick, skip] = STRATEGIES.map(|s| observe(reconfig_scenario(s)));
+    let [tick, skip] = STRATEGIES.map(|s| observe(&mut reconfig_scenario(s)));
     assert_equivalent("reconfig", &tick, &skip);
     assert_eq!(
         tick.tape,
@@ -126,9 +126,11 @@ fn fault_campaign(strategy: EngineStrategy, duration: SimDuration) -> (Observed,
     config.strategy = strategy;
     let mut sys = ZynqPdrSystem::new(config);
     sys.set_trace_level(TraceLevel::Full);
-    let r: FaultCampaignResult = run_fault_campaign(&mut sys, &campaign);
+    let plan = FaultPlan::generate(&campaign.plan, sys.floorplan());
+    let mut run = CampaignRun::with_plan(sys, campaign, plan);
+    let r: FaultCampaignResult = run.run_to_end(&mut |_| {});
     let events = r.events;
-    (observe(sys), r.to_json_string(), events)
+    (observe(run.system_mut()), r.to_json_string(), events)
 }
 
 #[test]
@@ -211,9 +213,9 @@ fn scheduler_scenario(strategy: EngineStrategy) -> (ZynqPdrSystem, Scheduler) {
 #[test]
 fn scheduler_tape_is_identical_across_engines_and_matches_golden() {
     let [(tick, tick_rep), (skip, skip_rep)] = STRATEGIES.map(|s| {
-        let (sys, mut sched) = scheduler_scenario(s);
+        let (mut sys, mut sched) = scheduler_scenario(s);
         let rep: SchedulerReport = sched.report();
-        (observe(sys), rep)
+        (observe(&mut sys), rep)
     });
     assert_eq!(tick_rep.completed, 8);
     assert_equivalent("scheduler", &tick, &skip);

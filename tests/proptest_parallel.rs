@@ -11,7 +11,6 @@ use pdr_testkit::{property, tuple4, u64s, usizes, vec_of, Config};
 
 use pdr_lab::pdr::campaign::{CampaignRun, FaultCampaign};
 use pdr_lab::pdr::executor::ParallelExecutor;
-use pdr_lab::pdr::fork_replicas;
 use pdr_lab::sim::json::ToJson;
 use pdr_lab::sim::stats::OnlineStats;
 use pdr_lab::sim::SimDuration;
@@ -60,7 +59,9 @@ property! {
         }
         let ckpt = warm.checkpoint();
         let seeds: Vec<u64> = (0..replicas as u64).map(|i| seed ^ (i + 1)).collect();
-        let serial = fork_replicas(&cfg, &c, &ckpt, &seeds).expect("serial fork");
+        let serial = ParallelExecutor::serial()
+            .fork_replicas(&cfg, &c, &ckpt, &seeds)
+            .expect("serial fork");
         let serial_json = serial.to_json_string();
         for threads in [1usize, 2, 3, 8] {
             let parallel = ParallelExecutor::new(threads)

@@ -7,8 +7,8 @@
 
 use pdr_lab::fabric::AspKind;
 use pdr_lab::pdr::{
-    run_fault_campaign, FaultCampaign, PartitionHealth, ReconfigError, RecoveryConfig,
-    RecoveryManager, SystemConfig, TimeoutCause, ZynqPdrSystem,
+    CampaignRun, FaultCampaign, PartitionHealth, ReconfigError, RecoveryConfig, RecoveryManager,
+    SystemConfig, TimeoutCause, ZynqPdrSystem,
 };
 use pdr_lab::sim::json::ToJson;
 use pdr_lab::sim::{Frequency, SimDuration};
@@ -107,8 +107,8 @@ fn watchdog_types_the_two_timeout_causes() {
 #[test]
 fn acceptance_soak_hundred_mixed_faults() {
     let run = || {
-        let mut sys = ZynqPdrSystem::new(FaultCampaign::fast_system());
-        run_fault_campaign(&mut sys, &FaultCampaign::default())
+        CampaignRun::new(FaultCampaign::fast_system(), FaultCampaign::default())
+            .run_to_end(&mut |_| {})
     };
     let a = run();
     assert!(a.events >= 100, "only {} faults injected", a.events);

@@ -11,8 +11,9 @@
 
 use pdr_lab::fabric::AspKind;
 use pdr_lab::pdr::{
-    run_fault_campaign, FaultCampaign, ReconfigRequest, RecoveryConfig, RecoveryManager, Scheduler,
-    SchedulerConfig, SdCard, SystemConfig, TraceCounters, TraceEvent, TraceLevel, ZynqPdrSystem,
+    CampaignRun, FaultCampaign, FaultCampaignResult, FaultPlan, ReconfigRequest, RecoveryConfig,
+    RecoveryManager, Scheduler, SchedulerConfig, SdCard, SystemConfig, TraceCounters, TraceEvent,
+    TraceLevel, ZynqPdrSystem,
 };
 use pdr_lab::sim::{Frequency, SimDuration};
 
@@ -127,22 +128,30 @@ fn golden_reconfig_tape_is_byte_stable() {
 // scenario 2: fault-campaign slice
 // ---------------------------------------------------------------------------
 
-fn fault_slice_scenario() -> (ZynqPdrSystem, pdr_lab::pdr::FaultCampaignResult) {
+/// Runs `campaign` on the campaign system with the full trace on from
+/// before warm-up, so the tape records the initial configurations too.
+fn traced_campaign(campaign: FaultCampaign) -> (CampaignRun, FaultCampaignResult) {
+    let mut sys = ZynqPdrSystem::new(FaultCampaign::fast_system());
+    sys.set_trace_level(TraceLevel::Full);
+    let plan = FaultPlan::generate(&campaign.plan, sys.floorplan());
+    let mut run = CampaignRun::with_plan(sys, campaign, plan);
+    let r = run.run_to_end(&mut |_| {});
+    (run, r)
+}
+
+fn fault_slice_scenario() -> (CampaignRun, FaultCampaignResult) {
     // The default mixed-fault campaign, cut to an 800 µs slice so the
     // committed tape stays reviewable.
     let mut campaign = FaultCampaign::default();
     campaign.plan.duration = SimDuration::from_micros(800);
-    let mut sys = ZynqPdrSystem::new(FaultCampaign::fast_system());
-    sys.set_trace_level(TraceLevel::Full);
-    let r = run_fault_campaign(&mut sys, &campaign);
-    (sys, r)
+    traced_campaign(campaign)
 }
 
 #[test]
 fn golden_fault_slice_tape_is_byte_stable() {
-    let (sys, r) = fault_slice_scenario();
+    let (run, r) = fault_slice_scenario();
     assert!(r.events > 0, "the slice must schedule faults");
-    assert_matches_golden("fault_slice.jsonl", &sys.tracer().export_jsonl());
+    assert_matches_golden("fault_slice.jsonl", &run.system().tracer().export_jsonl());
 }
 
 // ---------------------------------------------------------------------------
@@ -209,9 +218,8 @@ fn campaign_trace_counts_match_recovery_telemetry() {
     // A ≥150-fault campaign: the default plan stretched from 6 ms to 8 ms.
     let mut campaign = FaultCampaign::default();
     campaign.plan.duration = SimDuration::from_millis(8);
-    let mut sys = ZynqPdrSystem::new(FaultCampaign::fast_system());
-    sys.set_trace_level(TraceLevel::Full);
-    let r = run_fault_campaign(&mut sys, &campaign);
+    let (run, r) = traced_campaign(campaign);
+    let sys = run.system();
 
     assert!(
         r.events >= 150,
@@ -239,7 +247,7 @@ fn campaign_trace_counts_match_recovery_telemetry() {
 
     // And the tape itself re-derives the same counters: emission-time fold
     // and post-hoc fold cannot drift.
-    assert_eq!(counters_from_tape(&sys), c);
+    assert_eq!(counters_from_tape(sys), c);
 }
 
 // ---------------------------------------------------------------------------
