@@ -15,7 +15,7 @@
 //! simulation-only snapshot (no wall-clock fields), committed so CI can
 //! diff it bit-for-bit.
 
-use pdr_bench::harness::{BatchSize, Criterion, Throughput};
+use pdr_bench::harness::{Criterion, Throughput};
 use pdr_bench::{publish, Table};
 use pdr_core::{
     snapshot, CampaignRun, FaultCampaign, MonteCarloReport, ParallelExecutor, SystemConfig,
@@ -122,11 +122,9 @@ fn main() {
                 b.iter_batched(
                     || ParallelExecutor::new(threads),
                     |ex| std::hint::black_box(soak(strategy, &checkpoint, &ex)),
-                    BatchSize::LargeInput,
                 )
             });
         }
-        g.finish();
     }
     c.final_report("campaign");
     let median_ns = |name: &str| {

@@ -12,7 +12,7 @@
 //! simulation-only snapshot (no wall-clock fields), committed so CI can
 //! diff it bit-for-bit.
 
-use pdr_bench::harness::{BatchSize, Criterion, Throughput};
+use pdr_bench::harness::{Criterion, Throughput};
 use pdr_bench::{publish, Table};
 use pdr_core::fleet::{FleetConfig, FleetReport, FleetRun};
 use pdr_core::{snapshot, ParallelExecutor};
@@ -103,11 +103,9 @@ fn main() {
                         run.run_to_end(&ex);
                         std::hint::black_box(run.report())
                     },
-                    BatchSize::LargeInput,
                 )
             });
         }
-        g.finish();
     }
     c.final_report("fleet");
     let median_ns = |name: &str| {

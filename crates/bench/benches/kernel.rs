@@ -13,7 +13,7 @@
 //! the workspace root: a deterministic, simulated-time-only snapshot (no
 //! wall-clock fields), committed so CI can diff it bit-for-bit.
 
-use pdr_bench::harness::{BatchSize, Criterion, Throughput};
+use pdr_bench::harness::{Criterion, Throughput};
 use pdr_bench::{publish, Table};
 use pdr_core::{
     ReconfigRequest, RecoveryConfig, RecoveryManager, Scheduler, SchedulerConfig, SystemConfig,
@@ -143,14 +143,9 @@ fn measure(c: &mut Criterion, workload_name: &str, workload: Workload, bytes: u6
         ("event-skip", EngineStrategy::EventSkip),
     ] {
         g.bench_function(name, |b| {
-            b.iter_batched(
-                || strategy,
-                |s| std::hint::black_box(workload(s)),
-                BatchSize::LargeInput,
-            )
+            b.iter_batched(|| strategy, |s| std::hint::black_box(workload(s)))
         });
     }
-    g.finish();
 }
 
 fn median_ns(c: &Criterion, group: &str, name: &str) -> f64 {

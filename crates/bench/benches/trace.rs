@@ -15,7 +15,7 @@
 //! simulated-time-only snapshot (per-level event counts and trace reports —
 //! no wall-clock fields), committed as the observability-cost trajectory.
 
-use pdr_bench::harness::{BatchSize, Criterion, Throughput};
+use pdr_bench::harness::{Criterion, Throughput};
 use pdr_bench::{publish, Table};
 use pdr_bitstream::Bitstream;
 use pdr_core::{ReconfigReport, SystemConfig, TraceLevel, ZynqPdrSystem};
@@ -54,10 +54,8 @@ fn measure(c: &mut Criterion, name: &str, level: Option<TraceLevel>, bytes: u64)
                 let r = reconfig_loop(&mut sys, &bs);
                 std::hint::black_box((sys, r))
             },
-            BatchSize::LargeInput,
         )
     });
-    g.finish();
 }
 
 fn median_ns(c: &Criterion, name: &str) -> f64 {

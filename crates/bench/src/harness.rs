@@ -3,14 +3,10 @@
 //! throughput annotation, and a machine-readable JSON report under
 //! `target/experiments/`.
 //!
-//! The API mirrors the subset of criterion the benches use
+//! The surface is the subset of criterion the benches use
 //! ([`Criterion::benchmark_group`], [`BenchmarkGroup::bench_function`],
-//! [`Bencher::iter`]/[`Bencher::iter_batched`], [`Throughput`]), so a bench
-//! written against criterion ports by swapping the `use` line. Two
-//! environment variables trim runs for CI smoke tests:
-//!
-//! * `PDR_BENCH_SAMPLES` — samples per benchmark (default 15);
-//! * `PDR_BENCH_WARMUP_MS` — warmup budget per benchmark (default 200).
+//! [`Bencher::iter_batched`], [`Throughput`]). `PDR_BENCH_SAMPLES` sets the
+//! samples per benchmark (default 15), which CI trims for smoke runs.
 
 use std::time::{Duration, Instant};
 
@@ -18,8 +14,8 @@ use pdr_sim_core::json::{Json, ToJson};
 
 /// Samples per benchmark unless `PDR_BENCH_SAMPLES` overrides it.
 pub const DEFAULT_SAMPLES: usize = 15;
-/// Warmup budget per benchmark unless `PDR_BENCH_WARMUP_MS` overrides it.
-pub const DEFAULT_WARMUP_MS: u64 = 200;
+/// Warmup budget per benchmark.
+pub const WARMUP: Duration = Duration::from_millis(200);
 
 /// What one iteration processes, for derived rates in the report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,18 +24,6 @@ pub enum Throughput {
     Bytes(u64),
     /// Abstract elements per iteration (reported as Melem/s).
     Elements(u64),
-}
-
-/// Batching hint; accepted for criterion compatibility, ignored (setup is
-/// always run once per timed iteration, outside the timed section).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchSize {
-    /// Small per-iteration state.
-    SmallInput,
-    /// Large per-iteration state.
-    LargeInput,
-    /// Fresh state every iteration.
-    PerIteration,
 }
 
 /// One measured benchmark.
@@ -116,10 +100,7 @@ impl Default for Criterion {
         Criterion {
             results: Vec::new(),
             samples: env_usize("PDR_BENCH_SAMPLES", DEFAULT_SAMPLES),
-            warmup: Duration::from_millis(env_usize(
-                "PDR_BENCH_WARMUP_MS",
-                DEFAULT_WARMUP_MS as usize,
-            ) as u64),
+            warmup: WARMUP,
         }
     }
 }
@@ -131,7 +112,6 @@ impl Criterion {
             c: self,
             name: name.to_string(),
             throughput: None,
-            sample_size: None,
         }
     }
 
@@ -167,14 +147,13 @@ impl Criterion {
     }
 }
 
-/// A named group; configures throughput/sample-size for the functions
-/// benchmarked inside it.
+/// A named group; configures the throughput of the functions benchmarked
+/// inside it.
 #[derive(Debug)]
 pub struct BenchmarkGroup<'c> {
     c: &'c mut Criterion,
     name: String,
     throughput: Option<Throughput>,
-    sample_size: Option<usize>,
 }
 
 impl BenchmarkGroup<'_> {
@@ -184,25 +163,17 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Overrides the sample count for this group.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        assert!(n > 0, "sample_size must be positive");
-        self.sample_size = Some(n);
-        self
-    }
-
     /// Measures `f` (which drives a [`Bencher`]) and records the result.
     pub fn bench_function(&mut self, name: &str, f: impl FnOnce(&mut Bencher)) -> &mut Self {
-        let samples = self.sample_size.unwrap_or(self.c.samples);
         let mut b = Bencher {
-            samples,
+            samples: self.c.samples,
             warmup: self.c.warmup,
             timings: Vec::new(),
         };
         f(&mut b);
         assert!(
             !b.timings.is_empty(),
-            "bench_function body must call Bencher::iter or iter_batched"
+            "bench_function body must call Bencher::iter_batched"
         );
         let mut sorted = b.timings.clone();
         sorted.sort();
@@ -217,10 +188,6 @@ impl BenchmarkGroup<'_> {
         self.c.results.push(result);
         self
     }
-
-    /// Ends the group (criterion compatibility; results are already
-    /// recorded).
-    pub fn finish(&mut self) {}
 }
 
 /// Runs and times the benchmark body.
@@ -232,19 +199,13 @@ pub struct Bencher {
 }
 
 impl Bencher {
-    /// Times `f` directly: warmup iterations for the warmup budget, then
-    /// one timed sample per call.
-    pub fn iter<R>(&mut self, mut f: impl FnMut() -> R) {
-        self.iter_batched(|| (), |()| f(), BatchSize::PerIteration);
-    }
-
-    /// Times `routine` on fresh state from `setup`; setup runs outside the
-    /// timed section.
+    /// Times `routine` on fresh state from `setup`: warmup iterations for
+    /// the warmup budget, then one timed sample each; setup runs outside
+    /// the timed section.
     pub fn iter_batched<S, R>(
         &mut self,
         mut setup: impl FnMut() -> S,
         mut routine: impl FnMut(S) -> R,
-        _size: BatchSize,
     ) {
         // Warmup: at least one run, then keep going until the budget is
         // spent (caches hot, lazy statics initialised, frequency scaled up).
@@ -266,31 +227,6 @@ impl Bencher {
     }
 }
 
-/// Declares a benchmark group function, criterion style:
-/// `criterion_group!(benches, bench_a, bench_b);` defines
-/// `fn benches(&mut Criterion)` running each listed function.
-#[macro_export]
-macro_rules! criterion_group {
-    ($name:ident, $($f:path),+ $(,)?) => {
-        fn $name(c: &mut $crate::harness::Criterion) {
-            $( $f(c); )+
-        }
-    };
-}
-
-/// Declares `main` running the listed groups and emitting the final report,
-/// criterion style: `criterion_main!(benches);`.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:ident),+ $(,)?) => {
-        fn main() {
-            let mut c = $crate::harness::Criterion::default();
-            $( $group(&mut c); )+
-            c.final_report(env!("CARGO_CRATE_NAME"));
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,9 +245,8 @@ mod tests {
         let mut g = c.benchmark_group("g");
         g.throughput(Throughput::Bytes(1_000_000));
         g.bench_function("sum", |b| {
-            b.iter(|| (0..10_000u64).sum::<u64>());
+            b.iter_batched(|| 10_000u64, |n| (0..n).sum::<u64>());
         });
-        g.finish();
         assert_eq!(c.results().len(), 1);
         let r = &c.results()[0];
         assert_eq!(r.id, "g/sum");
@@ -331,19 +266,9 @@ mod tests {
                     // Would panic on a reused (already drained) vector.
                     assert_eq!(v.drain(..).sum::<u32>(), 6);
                 },
-                BatchSize::SmallInput,
             );
         });
         assert_eq!(c.results()[0].samples, 5);
-    }
-
-    #[test]
-    fn sample_size_overrides_group() {
-        let mut c = tiny();
-        let mut g = c.benchmark_group("g");
-        g.sample_size(3);
-        g.bench_function("noop", |b| b.iter(|| 1u8));
-        assert_eq!(c.results()[0].samples, 3);
     }
 
     #[test]
