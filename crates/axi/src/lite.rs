@@ -50,6 +50,13 @@ impl RegisterFile {
         inner.regs.get(&addr).copied().unwrap_or(0)
     }
 
+    /// Reads the register at byte offset `addr` without counting the read:
+    /// for the owning block's own view of its registers, so that the read
+    /// counter counts driver and bus reads only.
+    pub fn peek(&self, addr: u32) -> u32 {
+        self.inner.borrow().regs.get(&addr).copied().unwrap_or(0)
+    }
+
     /// Writes the register at byte offset `addr`.
     pub fn write(&self, addr: u32, value: u32) {
         let mut inner = self.inner.borrow_mut();
@@ -160,5 +167,14 @@ mod tests {
         let _ = rf.read(4);
         let (r, w) = rf.access_counts();
         assert_eq!((r, w), (2, 1));
+    }
+
+    #[test]
+    fn peek_reads_without_counting() {
+        let rf = RegisterFile::new();
+        rf.write(0x10, 7);
+        assert_eq!(rf.peek(0x10), 7);
+        assert_eq!(rf.peek(0x14), 0);
+        assert_eq!(rf.access_counts(), (0, 1));
     }
 }

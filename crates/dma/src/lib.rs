@@ -218,24 +218,39 @@ impl AxiDma {
         self.bytes_to_stream = 0;
         self.outstanding = 0;
         self.regs.write(REG_LENGTH, 0);
-        self.regs.set_bits(REG_DMASR, DMASR_HALTED);
+        self.set_status(DMASR_HALTED);
+    }
+
+    // The engine reads its own registers with `peek`, so the register
+    // file's read counter counts driver and bus reads only, whichever
+    // kernel runs the engine and however often.
+
+    /// The armed transfer length: `LENGTH` while `DMACR.RS` is set and the
+    /// doorbell holds a non-zero byte count.
+    fn doorbell(&self) -> Option<u32> {
+        let run = self.regs.peek(REG_DMACR) & DMACR_RS != 0;
+        let len = self.regs.peek(REG_LENGTH);
+        (run && len != 0).then_some(len)
+    }
+
+    fn set_status(&self, mask: u32) {
+        self.regs.write(REG_DMASR, self.regs.peek(REG_DMASR) | mask);
     }
 
     fn arm_if_requested(&mut self) {
-        if !self.regs.bits_set(REG_DMACR, DMACR_RS) {
+        let Some(len) = self.doorbell() else {
             return;
-        }
-        let len = self.regs.read(REG_LENGTH);
-        if len == 0 {
-            return;
-        }
+        };
         // Consume the doorbell.
         self.regs.write(REG_LENGTH, 0);
-        self.fetch_addr = self.regs.read(REG_SA) as u64;
+        self.fetch_addr = self.regs.peek(REG_SA) as u64;
         self.bytes_to_request = len as u64;
         self.bytes_to_stream = len as u64;
         self.outstanding = 0;
-        self.regs.clear_bits(REG_DMASR, DMASR_HALTED | DMASR_IDLE);
+        self.regs.write(
+            REG_DMASR,
+            self.regs.peek(REG_DMASR) & !(DMASR_HALTED | DMASR_IDLE),
+        );
         self.state = State::Starting {
             remaining: self.config.startup_cycles,
         };
@@ -290,7 +305,7 @@ impl AxiDma {
     fn complete(&mut self, ctx: &mut EdgeCtx<'_>) {
         self.state = State::Halted;
         self.stats.transfers += 1;
-        self.regs.set_bits(REG_DMASR, DMASR_IDLE | DMASR_IOC);
+        self.set_status(DMASR_IDLE | DMASR_IOC);
         if self.irq_functional {
             self.irq.raise(ctx.now());
         }
@@ -340,7 +355,7 @@ impl Component for AxiDma {
                 // A halted engine only polls the doorbell; sleep until the
                 // registers actually hold one (writes by other components
                 // re-poll this engine through the wake bookkeeping).
-                if self.regs.bits_set(REG_DMACR, DMACR_RS) && self.regs.read(REG_LENGTH) != 0 {
+                if self.doorbell().is_some() {
                     NextWake::EveryCycle
                 } else {
                     NextWake::Idle

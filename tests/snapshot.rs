@@ -162,11 +162,11 @@ fn checkpoint_bytes_are_pinned() {
     fleet.step_epoch(&ParallelExecutor::serial());
     got.push(pin(&fleet.checkpoint()));
     let pinned = [
-        (219625, 0x754d9712738bba45), // system, event-skip
-        (219451, 0x6cd0afc34c5985d6), // system, tick
+        (219613, 0xe44dabc2003f2c3a), // system, event-skip
+        (219438, 0x381884828a4b5b47), // system, tick
         // Campaign after 3 steps: its queue is the tick engine's (see
         // `both_engines_checkpoint_the_same_campaign_tree`).
-        (415396, 0x545b4cf3f1690424),
+        (415383, 0x63d9e0c3f6b0b184),
         (9955, 0x645e9e952cad5d53), // fleet after one epoch
     ];
     assert_eq!(got, pinned);
@@ -195,8 +195,7 @@ fn diff_paths(a: &Json, b: &Json, path: &str, out: &mut Vec<String>) {
 }
 
 /// Whether a differing path is one the kernels may legitimately disagree
-/// on: a slot's wake bookkeeping (`due_cycle`), or a register file's read
-/// counter, which event-skip's `next_wake` polls inflate.
+/// on: a slot's wake bookkeeping (`due_cycle`).
 fn kernel_private(path: &str) -> bool {
     let Some((_, rest)) = path.split_once(".engine.components[") else {
         return false;
@@ -204,7 +203,7 @@ fn kernel_private(path: &str) -> bool {
     let Some((index, field)) = rest.split_once(']') else {
         return false;
     };
-    index.parse::<usize>().is_ok() && matches!(field, ".due_cycle" | ".state.regs.reads")
+    index.parse::<usize>().is_ok() && field == ".due_cycle"
 }
 
 /// Asserts two checkpoints are the same JSON tree apart from
