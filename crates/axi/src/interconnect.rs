@@ -9,7 +9,7 @@
 
 use pdr_sim_core::json::{Json, JsonError, ToJson};
 use pdr_sim_core::{
-    fifo_channel, impl_json_struct, Component, Consumer, EdgeCtx, NextWake, Producer,
+    fifo_channel, impl_json_struct, Component, Consumer, EdgeCtx, NextWake, Producer, Sensitivity,
 };
 
 use crate::mm::{ReadBeat, ReadReq};
@@ -100,7 +100,9 @@ impl ReadInterconnect {
     }
 
     /// Attaches a master, returning its endpoints. The master **must** tag
-    /// its requests with the returned port index as `id`.
+    /// its requests with the returned port index as `id`. Attach every
+    /// master before adding the interconnect to an engine: its sensitivity
+    /// list covers the masters it has then.
     ///
     /// `beat_depth` sizes the master's response FIFO (the skid buffer in
     /// front of the master's clock-domain crossing).
@@ -171,6 +173,17 @@ impl Component for ReadInterconnect {
             }
             None => self.stats.data_idle += 1,
         }
+    }
+
+    fn sensitivity(&self, list: &mut Sensitivity) {
+        // Requests from every master attached so far (attach them all
+        // before adding the interconnect to an engine), request slots the
+        // memory frees, and beats the memory returns.
+        for m in &self.masters {
+            list.watch(&m.req_in);
+        }
+        list.watch(&self.slave_req_out);
+        list.watch(&self.slave_beat_in);
     }
 
     fn next_wake(&self, _now_cycle: u64) -> NextWake {

@@ -14,6 +14,7 @@ use std::rc::Rc;
 
 use pdr_sim_core::impl_json_struct;
 use pdr_sim_core::json::{Json, JsonError, ToJson};
+use pdr_sim_core::{WakeSource, Waker, Watchers};
 
 /// One register in a checkpoint.
 struct Register {
@@ -27,6 +28,8 @@ struct Inner {
     regs: BTreeMap<u32, u32>,
     reads: u64,
     writes: u64,
+    /// Woken on every write.
+    watchers: Watchers,
 }
 
 /// A shared word-addressed register file. Cloning yields another handle to
@@ -62,6 +65,7 @@ impl RegisterFile {
         let mut inner = self.inner.borrow_mut();
         inner.writes += 1;
         inner.regs.insert(addr, value);
+        inner.watchers.notify();
     }
 
     /// Sets bits of a register (read-modify-write OR).
@@ -114,7 +118,15 @@ impl RegisterFile {
         inner.regs = regs;
         inner.reads = reads;
         inner.writes = writes;
+        inner.watchers.notify();
         Ok(())
+    }
+}
+
+/// A register file wakes its listeners on every write.
+impl WakeSource for RegisterFile {
+    fn subscribe(&self, waker: Waker) {
+        self.inner.borrow_mut().watchers.add(waker);
     }
 }
 

@@ -6,7 +6,9 @@
 //! ICAP-side byte rate exactly `4 B × f` — the linear region of Fig. 5.
 
 use pdr_sim_core::json::{Json, JsonError, ToJson};
-use pdr_sim_core::{impl_json_struct, Component, Consumer, EdgeCtx, NextWake, Producer};
+use pdr_sim_core::{
+    impl_json_struct, Component, Consumer, EdgeCtx, NextWake, Producer, Sensitivity,
+};
 
 use crate::stream::StreamBeat;
 
@@ -80,10 +82,15 @@ impl Component for Width64To32 {
         self.words_out += 1;
     }
 
+    fn sensitivity(&self, list: &mut Sensitivity) {
+        // The DMA pushing a beat and the ICAP popping a word.
+        list.watch(&self.input);
+        list.watch(&self.output);
+    }
+
     fn next_wake(&self, _now_cycle: u64) -> NextWake {
         // Blocked output or nothing buffered and nothing arriving: the edge
-        // is a pure no-op. The ICAP popping a word or the DMA pushing a beat
-        // re-polls this converter.
+        // is a pure no-op until a beat arrives or a word slot frees up.
         if !self.output.can_push() || (self.carry.is_none() && self.input.is_empty()) {
             NextWake::Idle
         } else {

@@ -25,7 +25,9 @@ use pdr_axi::mm::ReadReq;
 use pdr_axi::stream::StreamBeat;
 use pdr_axi::RegisterFile;
 use pdr_sim_core::json::{Json, JsonError, ToJson};
-use pdr_sim_core::{impl_json_struct, Component, EdgeCtx, IrqLine, NextWake, Producer};
+use pdr_sim_core::{
+    impl_json_struct, Component, EdgeCtx, IrqLine, NextWake, Producer, Sensitivity,
+};
 
 /// `MM2S_DMACR` control register offset.
 pub const REG_DMACR: u32 = 0x00;
@@ -344,17 +346,22 @@ impl Component for AxiDma {
         }
     }
 
+    fn sensitivity(&self, list: &mut Sensitivity) {
+        // Only the doorbell wakes a halted engine; running, it never sleeps.
+        list.watch(&self.regs);
+    }
+
     fn next_wake(&self, _now_cycle: u64) -> NextWake {
         if self.stall_cycles > 0 {
-            // Wake at the last stall-decrement edge; its authoritative
-            // re-poll then answers for the post-stall state.
+            // Wake at the last stall-decrement edge; the poll after that
+            // edge answers for the post-stall state.
             return NextWake::In(self.stall_cycles);
         }
         match self.state {
             State::Halted => {
-                // A halted engine only polls the doorbell; sleep until the
-                // registers actually hold one (writes by other components
-                // re-poll this engine through the wake bookkeeping).
+                // A halted engine only checks the doorbell; sleep until the
+                // registers actually hold one (a register write wakes this
+                // engine through its sensitivity list).
                 if self.doorbell().is_some() {
                     NextWake::EveryCycle
                 } else {

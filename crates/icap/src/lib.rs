@@ -27,7 +27,9 @@ use pdr_axi::width::Word32;
 use pdr_bitstream::{Action, CmdCode, FrameAddress, ParseError, Parser, ParserSnapshot};
 use pdr_fabric::ConfigMemory;
 use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
-use pdr_sim_core::{Component, Consumer, EdgeCtx, IrqLine, NextWake, SimTime, Xoshiro256StarStar};
+use pdr_sim_core::{
+    Component, Consumer, EdgeCtx, IrqLine, NextWake, Sensitivity, SimTime, Xoshiro256StarStar,
+};
 
 /// Shared handle to the device's configuration memory.
 pub type SharedConfigMemory = Rc<RefCell<ConfigMemory>>;
@@ -343,6 +345,10 @@ impl Component for IcapController {
                 self.done_irq.raise(now);
             }
         }
+    }
+
+    fn sensitivity(&self, list: &mut Sensitivity) {
+        list.watch(&self.stream_in);
     }
 
     fn next_wake(&self, _now_cycle: u64) -> NextWake {

@@ -20,7 +20,7 @@ use pdr_axi::width::Word32;
 use pdr_sim_core::json::{Json, JsonError, ToJson};
 use pdr_sim_core::{
     fifo_channel, impl_json_struct, Component, Consumer, EdgeCtx, Frequency, NextWake, Producer,
-    SimDuration,
+    Sensitivity, SimDuration,
 };
 
 use crate::backing::Backing;
@@ -206,6 +206,10 @@ impl Component for QdrSram {
                 remaining: remaining - 1,
             })
         };
+    }
+
+    fn sensitivity(&self, list: &mut Sensitivity) {
+        list.watch(&self.cmd_in);
     }
 
     fn next_wake(&self, _now_cycle: u64) -> NextWake {

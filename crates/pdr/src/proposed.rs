@@ -29,7 +29,7 @@ use pdr_icap::{shared_config_memory, IcapController, SharedConfigMemory};
 use pdr_mem::{QdrSram, SramConfig, SramReadCmd};
 use pdr_sim_core::{
     Component, ComponentId, Consumer, EdgeCtx, Engine, EngineStrategy, Frequency, IrqBus, IrqLine,
-    NextWake, Producer, SimDuration, SimTime,
+    NextWake, Producer, Sensitivity, SimDuration, SimTime,
 };
 
 use crate::system::{bitstream_payload, frames_crc, IDCODE};
@@ -246,9 +246,15 @@ impl Component for Decompressor {
         }
     }
 
+    fn sensitivity(&self, list: &mut Sensitivity) {
+        // The ICAP freeing a word slot; a load() between runs goes through
+        // Engine::component_mut, which re-polls by itself.
+        list.watch(&self.output);
+    }
+
     fn next_wake(&self, _now_cycle: u64) -> NextWake {
         // Idle (no job, completed, or wedged) and back-pressured edges are
-        // pure no-ops; a load() between runs or an ICAP pop re-polls.
+        // pure no-ops until a load() or a freed word slot.
         if self.idle || !self.output.can_push() {
             NextWake::Idle
         } else {

@@ -294,6 +294,14 @@ impl ZynqPdrSystem {
 
         let (mut interconnect, slave) = ReadInterconnect::new("axi-mem", 4, 8);
         let (port, mep) = interconnect.add_master(64);
+        // Per-partition data DMAs (Fig. 1: one DMA controller per HP port)
+        // share the memory interconnect with the configuration DMA, so
+        // accelerator traffic genuinely contends with reconfiguration. Their
+        // ports attach before the interconnect joins the engine, which then
+        // takes its sensitivity list.
+        let rp_ports: Vec<_> = (0..config.floorplan.partitions().len())
+            .map(|_| interconnect.add_master(64))
+            .collect();
         let mem_beats = mep.beats.fifo().clone();
         let mem_reqs = mep.req.fifo().clone();
 
@@ -361,16 +369,8 @@ impl ZynqPdrSystem {
             .map(|i| engine.add_clock_domain(&format!("rp{}-clk", i + 1), Frequency::from_mhz(100)))
             .collect();
 
-        // Per-partition data DMAs (Fig. 1: one DMA controller per HP port):
-        // they share the memory interconnect with the configuration DMA, so
-        // accelerator traffic genuinely contends with reconfiguration.
         let mut rp_dmas = Vec::new();
-        for (i, _) in config.floorplan.partitions().iter().enumerate() {
-            let (rp_port, rp_mep) = {
-                // Re-borrow the interconnect registered above.
-                let ic = engine.component_mut::<ReadInterconnect>(ic_id);
-                ic.add_master(64)
-            };
+        for (i, (rp_port, rp_mep)) in rp_ports.into_iter().enumerate() {
             let rp_regs = RegisterFile::new();
             let rp_ioc = irq_bus.allocate(&format!("rp{}-ioc", i + 1));
             let (rp_tx, rp_rx) =

@@ -8,6 +8,7 @@ use crate::component::{Component, NextWake};
 use crate::engine::EdgeCtx;
 use crate::fifo::Consumer;
 use crate::json::{FromJson, Json, JsonError, ToJson};
+use crate::wake::Sensitivity;
 
 /// Consumes up to one item per clock edge, counting and optionally
 /// inspecting them.
@@ -71,6 +72,10 @@ impl<T: ToJson + FromJson + 'static, F: FnMut(T) + 'static> Component for Sink<T
             (self.inspector)(item);
             self.consumed += 1;
         }
+    }
+
+    fn sensitivity(&self, list: &mut Sensitivity) {
+        list.watch(&self.input);
     }
 
     fn next_wake(&self, now_cycle: u64) -> NextWake {

@@ -5,6 +5,7 @@ use core::fmt;
 
 use crate::engine::EdgeCtx;
 use crate::json::{Json, JsonError};
+use crate::wake::Sensitivity;
 
 /// Identifies a component registered with an [`Engine`](crate::Engine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -80,9 +81,12 @@ pub enum NextWake {
     In(u64),
     /// Every future edge is a no-op (beyond what [`Component::catch_up`]
     /// folds) until some external input arrives — a FIFO push, a register
-    /// write, a delivered event. The engine re-polls sleeping components
-    /// after every dispatched action and at the start of every run, so new
-    /// input always wakes them on the same edge the tick engine would act.
+    /// write, a delivered event, a re-arm between runs. A write to a source
+    /// on the component's [sensitivity list](Component::sensitivity), a
+    /// delivered event and [`Engine::component_mut`](crate::Engine::component_mut)
+    /// each make the engine re-poll it, so new input wakes it on the same
+    /// edge the tick engine would act. Input arriving any other way is
+    /// missed.
     Idle,
 }
 
@@ -104,19 +108,40 @@ pub trait Component: Any {
     /// Declares this component's next interesting edge, counted from
     /// `now_cycle` (the bound domain's lifetime edge count).
     ///
-    /// Called by the event-skipping engine after every dispatch and at the
-    /// start of every run. The answer must be *truthful for the component's
-    /// current inputs*: declaring a wake later than the first edge with
-    /// observable work diverges from the tick engine. Declaring it earlier
-    /// is always safe — an early edge simply dispatches as the (no-op) edge
-    /// the tick engine would also have processed. Implementations that track
-    /// a synchronisation cycle must use `now_cycle` to account for skipped
-    /// edges not yet folded by [`Component::catch_up`].
+    /// Called by the event-skipping engine after every edge on which this
+    /// component ran, after every event delivered to it, and after every
+    /// write to a source on its [sensitivity list](Component::sensitivity)
+    /// (those polls can only move the wake earlier). The answer must be
+    /// *truthful for the component's current inputs*: declaring a wake
+    /// later than the first edge with observable work diverges from the
+    /// tick engine. Declaring it earlier is always safe — an early edge
+    /// simply dispatches as the (no-op) edge the tick engine would also
+    /// have processed. Implementations that track a synchronisation cycle
+    /// must use `now_cycle` to account for skipped edges not yet folded by
+    /// [`Component::catch_up`].
     ///
-    /// The default keeps unported components tick-accurate.
+    /// A component that can sleep (`In(n > 1)` or `Idle`) must list every
+    /// signal whose writes can make this answer earlier in
+    /// [`Component::sensitivity`]; debug builds check this after every
+    /// refresh. The default keeps unported components tick-accurate.
     fn next_wake(&self, now_cycle: u64) -> NextWake {
         let _ = now_cycle;
         NextWake::EveryCycle
+    }
+
+    /// Declares the signals whose writes can move this component's
+    /// [`Component::next_wake`] earlier: typically the
+    /// [`Consumer`](crate::Consumer) it pops (woken by pushes), the
+    /// [`Producer`](crate::Producer) it waits on for space (woken by pops),
+    /// and register files or interrupt lines it polls. Called once, when
+    /// the component is added to an engine, so every source must exist by
+    /// then. Reads are never tracked.
+    ///
+    /// The default lists nothing, which is right for components that never
+    /// sleep and for those whose wake changes only through their own edges,
+    /// delivered events or [`Engine::component_mut`](crate::Engine::component_mut).
+    fn sensitivity(&self, list: &mut Sensitivity) {
+        let _ = list;
     }
 
     /// Folds the effect of the quiescent edges up to and including `cycle`

@@ -17,6 +17,7 @@ use crate::clock::{ClockDomain, ClockDomainId, ClockDomainInfo, DomainCounters};
 use crate::component::{Component, ComponentId, Event, NextWake};
 use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::time::{Frequency, SimDuration, SimTime, PS_PER_SEC};
+use crate::wake::{DirtySet, Sensitivity, Waker};
 
 /// How the engine advances a clock domain between interesting edges.
 ///
@@ -201,6 +202,11 @@ pub struct KernelCounters {
     /// Entries popped off the event queue: live and stale edges and event
     /// deliveries. A parked domain's edges pop nothing.
     pub queue_pops: u64,
+    /// [`Component::next_wake`] polls. The tick engine never polls.
+    pub polls: u64,
+    /// [`Component::on_clock_edge`] calls. The tick engine calls every
+    /// member on every edge; event-skip calls only members with work.
+    pub calls: u64,
     /// Per clock domain, in registration order, with the domain's name.
     pub domains: Vec<(String, DomainCounters)>,
 }
@@ -219,6 +225,8 @@ struct Kernel {
     stop_request: Option<u64>,
     actions_dispatched: u64,
     queue_pops: u64,
+    polls: u64,
+    calls: u64,
 }
 
 impl Kernel {
@@ -422,6 +430,8 @@ struct Slot {
     /// forces the first edge to materialise. Only meaningful for clocked
     /// components under [`EngineStrategy::EventSkip`].
     due_cycle: u64,
+    /// Marks this slot dirty; its sensitivity list's sources hold clones.
+    waker: Waker,
 }
 
 /// The simulation engine: owns components, clock domains and the event queue.
@@ -431,6 +441,12 @@ pub struct Engine {
     kernel: Kernel,
     slots: Vec<Slot>,
     strategy: EngineStrategy,
+    /// Components whose sensitivity lists saw a write since the last
+    /// wake refresh.
+    dirty: DirtySet,
+    /// The members called on the edge being dispatched, kept for its
+    /// capacity.
+    called: Vec<ComponentId>,
 }
 
 impl Default for Engine {
@@ -457,9 +473,13 @@ impl Engine {
                 stop_request: None,
                 actions_dispatched: 0,
                 queue_pops: 0,
+                polls: 0,
+                calls: 0,
             },
             slots: Vec::new(),
             strategy,
+            dirty: DirtySet::default(),
+            called: Vec::new(),
         }
     }
 
@@ -478,11 +498,14 @@ impl Engine {
         self.kernel.actions_dispatched
     }
 
-    /// How this engine advanced since it was built: queue pops, and per
-    /// clock domain the dispatched, folded and parked edges.
+    /// How this engine advanced since it was built: queue pops, wake
+    /// polls, member calls, and per clock domain the dispatched, folded and
+    /// parked edges.
     pub fn kernel_counters(&self) -> KernelCounters {
         KernelCounters {
             queue_pops: self.kernel.queue_pops,
+            polls: self.kernel.polls,
+            calls: self.kernel.calls,
             domains: self
                 .kernel
                 .domains
@@ -506,10 +529,12 @@ impl Engine {
         id
     }
 
-    /// Registers a component, optionally binding it to a clock domain.
+    /// Registers a component, optionally binding it to a clock domain, and
+    /// takes its sensitivity list ([`Component::sensitivity`]).
     ///
     /// Bound components receive [`Component::on_clock_edge`] on every rising
-    /// edge of that domain, in registration order.
+    /// edge of that domain on which they have work (every edge under
+    /// [`EngineStrategy::Tick`]), in registration order.
     pub fn add_component<C: Component>(
         &mut self,
         component: C,
@@ -517,14 +542,20 @@ impl Engine {
     ) -> ComponentId {
         let id = ComponentId(self.slots.len() as u32);
         let name = component.name().to_string();
+        let waker = self.dirty.waker(id.0);
+        component.sensitivity(&mut Sensitivity::new(waker.clone()));
         self.slots.push(Slot {
             component: Some(Box::new(component)),
             name,
             domain,
             due_cycle: 0,
+            waker,
         });
         if let Some(d) = domain {
             self.kernel.domains[d.index()].members.push(id);
+            let members = self.kernel.domains[d.index()].members.len();
+            self.called
+                .reserve(members.saturating_sub(self.called.len()));
         }
         id
     }
@@ -556,13 +587,16 @@ impl Engine {
         })
     }
 
-    /// Typed exclusive access to a registered component.
+    /// Typed exclusive access to a registered component. Marks it dirty:
+    /// the next run re-polls its wake, so re-arming a component between
+    /// runs needs no sensitivity-list entry.
     ///
     /// # Panics
     ///
     /// Panics if `id` does not refer to a component of type `T`.
     pub fn component_mut<T: Component>(&mut self, id: ComponentId) -> &mut T {
         let slot = &mut self.slots[id.index()];
+        slot.waker.wake();
         let name = slot.name.clone();
         let c = slot
             .component
@@ -605,8 +639,7 @@ impl Engine {
     /// a stop request, or queue exhaustion.
     pub fn run_until(&mut self, deadline: SimTime) -> RunResult {
         let start_actions = self.kernel.actions_dispatched;
-        self.kernel.stop_request = None;
-        self.refresh_all_wakes();
+        self.start_run();
         let reason = loop {
             match self.step(deadline) {
                 Step::Idle => break StopReason::Idle,
@@ -644,8 +677,7 @@ impl Engine {
         mut predicate: impl FnMut(&Engine) -> bool,
     ) -> (RunResult, bool) {
         let start_actions = self.kernel.actions_dispatched;
-        self.kernel.stop_request = None;
-        self.refresh_all_wakes();
+        self.start_run();
         let (reason, hit) = loop {
             if predicate(self) {
                 break (StopReason::Stopped(0), true);
@@ -737,7 +769,7 @@ impl Engine {
                 let domain = self.slots[target.index()].domain;
                 self.call(target, domain, Some(event));
                 if self.strategy == EngineStrategy::EventSkip {
-                    self.refresh_wakes(None, Some(target));
+                    self.refresh_wakes(&[target]);
                 }
             }
         }
@@ -747,16 +779,29 @@ impl Engine {
     /// `ctx.cycle()` observes the edge being processed), calls its members
     /// in registration order, then queues its next edge — or, under
     /// event-skip, parks the domain if every member sleeps through it.
+    ///
+    /// Under event-skip a member sleeping past this edge is not called,
+    /// unless it is dirty when its turn comes: a member earlier in the
+    /// order may have just fed it, and the tick engine's call would act on
+    /// that input on this very edge. Its `catch_up` covers the skipped edge.
     fn run_edge(&mut self, domain: ClockDomainId) {
         self.kernel.actions_dispatched += 1;
-        let (generation, members) = {
+        let (generation, cycle, members) = {
             let d = &mut self.kernel.domains[domain.index()];
             d.advance(1);
             d.counters.dispatched += 1;
-            (d.generation, std::mem::take(&mut d.members))
+            (d.generation, d.total_edges, std::mem::take(&mut d.members))
         };
+        let skip = self.strategy == EngineStrategy::EventSkip;
+        let mut called = std::mem::take(&mut self.called);
         for &id in &members {
+            let slot = &self.slots[id.index()];
+            if skip && slot.due_cycle > cycle && !slot.waker.is_marked() {
+                continue;
+            }
+            self.kernel.calls += 1;
             self.call(id, Some(domain), None);
+            called.push(id);
         }
         let d = &mut self.kernel.domains[domain.index()];
         debug_assert!(d.members.is_empty(), "members registered mid-edge");
@@ -764,14 +809,16 @@ impl Engine {
         // A member that re-programmed or gated the domain has already
         // queued its next edge (or none).
         let current = d.generation == generation && !d.gated;
-        if self.strategy == EngineStrategy::EventSkip {
+        if skip {
             // The poll pushes nothing, so the next edge takes the same
             // sequence number as in the tick engine.
-            self.refresh_wakes(Some(domain), None);
-            if current && !self.due(domain) {
-                self.kernel.park(domain);
-                return;
-            }
+            self.refresh_wakes(&called);
+        }
+        called.clear();
+        self.called = called;
+        if skip && current && !self.due(domain) {
+            self.kernel.park(domain);
+            return;
         }
         if current {
             self.kernel.schedule_edge(domain);
@@ -915,47 +962,88 @@ impl Engine {
         true
     }
 
-    /// Re-polls component wake declarations after a dispatched action.
-    ///
-    /// Members of the just-dispatched edge's domain (or the event's target)
-    /// answer authoritatively — their state is freshly synchronised, so the
-    /// poll may move the wake later. Every other clocked component is
-    /// min-merged: its stored wake can only move earlier, which is always
-    /// safe (an early edge dispatches as a tick-identical no-op) and is what
-    /// wakes sleepers whose inputs this action just refilled.
-    fn refresh_wakes(&mut self, edge_domain: Option<ClockDomainId>, target: Option<ComponentId>) {
-        for idx in 0..self.slots.len() {
-            let Some(sd) = self.slots[idx].domain else {
-                continue;
-            };
-            let authoritative = edge_domain == Some(sd) || target.map(|t| t.index()) == Some(idx);
-            let now_cycle = self.kernel.domains[sd.index()].total_edges;
-            if !authoritative && self.slots[idx].due_cycle <= now_cycle + 1 {
-                continue; // already awake; min-merge cannot move it earlier
-            }
-            let Some(component) = self.slots[idx].component.as_ref() else {
-                continue;
-            };
-            let due = match component.next_wake(now_cycle) {
-                NextWake::EveryCycle => now_cycle + 1,
-                NextWake::In(n) => now_cycle.saturating_add(n.max(1)),
-                NextWake::Idle => u64::MAX,
-            };
-            let slot = &mut self.slots[idx];
-            slot.due_cycle = if authoritative {
-                due
-            } else {
-                slot.due_cycle.min(due)
-            };
+    /// Starts a run. Harness code may have pushed FIFOs, written
+    /// registers or re-armed components since the previous run returned;
+    /// their sensitivity lists and [`Engine::component_mut`] marked them
+    /// dirty, and the refresh re-polls them.
+    fn start_run(&mut self) {
+        self.kernel.stop_request = None;
+        if self.strategy == EngineStrategy::EventSkip {
+            self.refresh_wakes(&[]);
         }
     }
 
-    /// Min-merges every clocked component's wake at the start of a run:
-    /// harness code may have pushed FIFOs, written registers or re-armed
-    /// components since the previous run returned.
-    fn refresh_all_wakes(&mut self) {
-        if self.strategy == EngineStrategy::EventSkip {
-            self.refresh_wakes(None, None);
+    /// Re-polls wake declarations after a dispatched action.
+    ///
+    /// The components just called — the members that ran on the edge, or
+    /// the event's target — answer authoritatively: their state is freshly
+    /// synchronised, so the poll may move the wake later. Every other
+    /// dirty component is min-merged: it may not be synchronised, and a
+    /// write can only have brought its work earlier, never later (an early
+    /// wake is always safe, see `docs/KERNEL.md` §2). No other component
+    /// is polled: nothing it declared sensitivity to was written.
+    fn refresh_wakes(&mut self, called: &[ComponentId]) {
+        for &id in called {
+            self.poll(id, true);
+        }
+        let dirty = self.dirty.take();
+        for &id in &dirty {
+            let id = ComponentId(id);
+            self.slots[id.index()].waker.clear_mark();
+            if !called.contains(&id) {
+                self.poll(id, false);
+            }
+        }
+        self.dirty.put_back(dirty);
+        #[cfg(debug_assertions)]
+        self.audit_wakes();
+    }
+
+    /// Polls one component's wake: authoritatively, or min-merged into its
+    /// stored wake. A min-merge skips a component already due on its next
+    /// edge, since it cannot move that wake earlier.
+    fn poll(&mut self, id: ComponentId, authoritative: bool) {
+        let slot = &self.slots[id.index()];
+        let (Some(domain), Some(component)) = (slot.domain, slot.component.as_ref()) else {
+            return;
+        };
+        let now_cycle = self.kernel.domains[domain.index()].total_edges;
+        if !authoritative && slot.due_cycle <= now_cycle + 1 {
+            return;
+        }
+        self.kernel.polls += 1;
+        let due = due_cycle(now_cycle, component.next_wake(now_cycle));
+        let slot = &mut self.slots[id.index()];
+        slot.due_cycle = if authoritative {
+            due
+        } else {
+            slot.due_cycle.min(due)
+        };
+    }
+
+    /// Debug builds: checks every sleeping component's declaration against
+    /// its stored wake after a refresh. A poll that would move a wake
+    /// earlier means some write reached the component through a source
+    /// missing from its sensitivity list, and the kernel would have slept
+    /// through work the tick engine does.
+    #[cfg(debug_assertions)]
+    fn audit_wakes(&self) {
+        for slot in &self.slots {
+            let (Some(domain), Some(component)) = (slot.domain, slot.component.as_ref()) else {
+                continue;
+            };
+            let now_cycle = self.kernel.domains[domain.index()].total_edges;
+            if slot.due_cycle <= now_cycle + 1 {
+                continue;
+            }
+            let due = due_cycle(now_cycle, component.next_wake(now_cycle));
+            assert!(
+                due >= slot.due_cycle,
+                "component '{}' now declares a wake at cycle {due}, before its stored wake at \
+                 cycle {}: a write it depends on is missing from its sensitivity list",
+                slot.name,
+                slot.due_cycle
+            );
         }
     }
 
@@ -1185,6 +1273,9 @@ impl Engine {
             d.gated = dv.gated;
         }
         for (i, cv) in components.iter().enumerate() {
+            // Nothing written before the restore is on the dirty set: the
+            // next run re-polls every component.
+            self.slots[i].waker.wake();
             self.slots[i].due_cycle = cv.field("due_cycle")?;
             self.slots[i]
                 .component
@@ -1213,6 +1304,15 @@ impl Engine {
             }
         }
         self.slots[id.index()].component = Some(component);
+    }
+}
+
+/// The absolute cycle a declaration made at `now_cycle` asks to wake on.
+fn due_cycle(now_cycle: u64, wake: NextWake) -> u64 {
+    match wake {
+        NextWake::EveryCycle => now_cycle + 1,
+        NextWake::In(n) => now_cycle.saturating_add(n.max(1)),
+        NextWake::Idle => u64::MAX,
     }
 }
 
@@ -1634,6 +1734,135 @@ mod tests {
             (e.actions_dispatched(), e.component::<EdgeCounter>(id).edges)
         };
         assert_eq!(build(), build());
+    }
+
+    /// Pops one item per edge and sleeps while its FIFO is empty, with or
+    /// without the FIFO on its sensitivity list.
+    struct Drain {
+        input: crate::fifo::Consumer<u32>,
+        declared: bool,
+        popped: u64,
+    }
+    impl Component for Drain {
+        fn name(&self) -> &str {
+            "drain"
+        }
+        fn sensitivity(&self, list: &mut Sensitivity) {
+            if self.declared {
+                list.watch(&self.input);
+            }
+        }
+        fn on_clock_edge(&mut self, _ctx: &mut EdgeCtx<'_>) {
+            self.popped += self.input.pop().map_or(0, |_| 1);
+        }
+        fn next_wake(&self, _now_cycle: u64) -> NextWake {
+            if self.input.is_empty() {
+                NextWake::Idle
+            } else {
+                NextWake::EveryCycle
+            }
+        }
+    }
+
+    /// A busy counter and a drain on one domain, with `items` queued for
+    /// the drain between two 10-edge runs.
+    fn drain_beside_a_counter(strategy: EngineStrategy, declared: bool) -> (Engine, ComponentId) {
+        let mut e = Engine::with_strategy(strategy);
+        let clk = e.add_clock_domain("clk", Frequency::from_mhz(100));
+        let (tx, rx) = crate::fifo::fifo_channel("in", 4);
+        e.add_component(
+            EdgeCounter {
+                edges: 0,
+                last_cycle: 0,
+            },
+            Some(clk),
+        );
+        let id = e.add_component(
+            Drain {
+                input: rx,
+                declared,
+                popped: 0,
+            },
+            Some(clk),
+        );
+        e.run_for(SimDuration::from_nanos(100));
+        tx.try_push(1).unwrap();
+        tx.try_push(2).unwrap();
+        e.run_for(SimDuration::from_nanos(100));
+        (e, id)
+    }
+
+    #[test]
+    fn sleeping_members_are_not_called_until_a_write_wakes_them() {
+        let (tick, tick_id) = drain_beside_a_counter(EngineStrategy::Tick, true);
+        let (skip, skip_id) = drain_beside_a_counter(EngineStrategy::EventSkip, true);
+        assert_eq!(tick.component::<Drain>(tick_id).popped, 2);
+        assert_eq!(skip.component::<Drain>(skip_id).popped, 2);
+        assert_eq!(tick.kernel_counters().calls, 40);
+        // The counter runs on all 20 edges; the drain runs on the first
+        // edge (nothing polled it yet) and on the two edges with an item.
+        assert_eq!(skip.kernel_counters().calls, 23);
+        assert_eq!(tick.kernel_counters().polls, 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "component 'drain' now declares a wake")]
+    fn wake_audit_names_a_component_with_an_undeclared_source() {
+        drain_beside_a_counter(EngineStrategy::EventSkip, false);
+    }
+
+    #[test]
+    fn irq_level_changes_wake_listeners() {
+        /// Counts the edges on which its line is raised.
+        struct IrqWatcher {
+            line: crate::irq::IrqLine,
+            seen: u64,
+        }
+        impl Component for IrqWatcher {
+            fn name(&self) -> &str {
+                "irq-watcher"
+            }
+            fn sensitivity(&self, list: &mut Sensitivity) {
+                list.watch(&self.line);
+            }
+            fn on_clock_edge(&mut self, _ctx: &mut EdgeCtx<'_>) {
+                self.seen += self.line.is_raised() as u64;
+            }
+            fn next_wake(&self, _now_cycle: u64) -> NextWake {
+                if self.line.is_raised() {
+                    NextWake::EveryCycle
+                } else {
+                    NextWake::Idle
+                }
+            }
+        }
+        let run = |strategy| {
+            let mut e = Engine::with_strategy(strategy);
+            let clk = e.add_clock_domain("clk", Frequency::from_mhz(100));
+            let line = crate::irq::IrqBus::new().allocate("irq");
+            let id = e.add_component(
+                IrqWatcher {
+                    line: line.clone(),
+                    seen: 0,
+                },
+                Some(clk),
+            );
+            e.run_for(SimDuration::from_nanos(50));
+            line.raise(e.now());
+            e.run_for(SimDuration::from_nanos(30));
+            line.clear();
+            e.run_for(SimDuration::from_nanos(50));
+            (
+                e.component::<IrqWatcher>(id).seen,
+                e.kernel_counters().calls,
+            )
+        };
+        assert_eq!(run(EngineStrategy::Tick), (3, 13));
+        // The first edge, the three raised ones, and the one after the
+        // clear: a write never moves a wake later, so the watcher finds the
+        // line low once before it sleeps again.
+        assert_eq!(run(EngineStrategy::EventSkip), (3, 5));
     }
 
     /// Two clocked domains (one gated mid-run), a pending event, and a

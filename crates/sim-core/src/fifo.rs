@@ -17,6 +17,7 @@ use std::rc::Rc;
 
 use crate::impl_json_struct;
 use crate::json::{FromJson, Json, JsonError, ToJson};
+use crate::wake::{WakeSource, Waker, Watchers};
 
 /// Counters describing a FIFO's lifetime behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -44,6 +45,10 @@ struct Inner<T> {
     buf: std::collections::VecDeque<T>,
     capacity: usize,
     stats: FifoStats,
+    /// Consumer-side listeners, woken when an element arrives.
+    on_push: Watchers,
+    /// Producer-side listeners, woken when space frees up.
+    on_pop: Watchers,
 }
 
 /// A shared handle to bounded FIFO storage.
@@ -77,6 +82,8 @@ impl<T> Fifo<T> {
                 buf: std::collections::VecDeque::with_capacity(capacity),
                 capacity,
                 stats: FifoStats::default(),
+                on_push: Watchers::default(),
+                on_pop: Watchers::default(),
             })),
         }
     }
@@ -132,6 +139,7 @@ impl<T> Fifo<T> {
         if occ > inner.stats.high_water {
             inner.stats.high_water = occ;
         }
+        inner.on_push.notify();
         Ok(())
     }
 
@@ -141,6 +149,7 @@ impl<T> Fifo<T> {
         let v = inner.buf.pop_front();
         if v.is_some() {
             inner.stats.popped += 1;
+            inner.on_pop.notify();
         }
         v
     }
@@ -157,6 +166,9 @@ impl<T> Fifo<T> {
         let mut inner = self.inner.borrow_mut();
         let n = inner.buf.len();
         inner.buf.clear();
+        if n > 0 {
+            inner.on_pop.notify();
+        }
         n
     }
 }
@@ -201,6 +213,8 @@ impl<T: FromJson> Fifo<T> {
         inner.buf.clear();
         inner.buf.extend(decoded);
         inner.stats = stats;
+        inner.on_push.notify();
+        inner.on_pop.notify();
         Ok(())
     }
 }
@@ -297,6 +311,20 @@ impl<T: Clone> Consumer<T> {
     /// Returns a clone of the oldest element without removing it.
     pub fn peek(&self) -> Option<T> {
         self.fifo.peek()
+    }
+}
+
+/// A consumer wakes on pushes: data arrived.
+impl<T> WakeSource for Consumer<T> {
+    fn subscribe(&self, waker: Waker) {
+        self.fifo.inner.borrow_mut().on_push.add(waker);
+    }
+}
+
+/// A producer wakes on pops: space freed up.
+impl<T> WakeSource for Producer<T> {
+    fn subscribe(&self, waker: Waker) {
+        self.fifo.inner.borrow_mut().on_pop.add(waker);
     }
 }
 

@@ -12,6 +12,7 @@ use std::rc::Rc;
 
 use crate::json::{Json, JsonError, ToJson};
 use crate::time::SimTime;
+use crate::wake::{WakeSource, Waker, Watchers};
 
 #[derive(Debug, Clone)]
 struct LineState {
@@ -21,6 +22,8 @@ struct LineState {
     raise_count: u64,
     /// Time of the most recent rising transition.
     last_raised: Option<SimTime>,
+    /// Woken on every level change.
+    watchers: Watchers,
 }
 
 #[derive(Debug, Default)]
@@ -50,6 +53,7 @@ impl IrqBus {
             raised: false,
             raise_count: 0,
             last_raised: None,
+            watchers: Watchers::default(),
         });
         IrqLine {
             bus: self.clone(),
@@ -110,12 +114,18 @@ impl IrqLine {
             line.raised = true;
             line.raise_count += 1;
             line.last_raised = Some(now);
+            line.watchers.notify();
         }
     }
 
     /// De-asserts the line (interrupt acknowledge).
     pub fn clear(&self) {
-        self.bus.inner.borrow_mut().lines[self.idx].raised = false;
+        let mut inner = self.bus.inner.borrow_mut();
+        let line = &mut inner.lines[self.idx];
+        if line.raised {
+            line.raised = false;
+            line.watchers.notify();
+        }
     }
 
     /// Current level.
@@ -155,7 +165,17 @@ impl IrqLine {
         line.raised = raised;
         line.raise_count = raise_count;
         line.last_raised = last_raised;
+        line.watchers.notify();
         Ok(())
+    }
+}
+
+/// A line wakes its listeners on every level change.
+impl WakeSource for IrqLine {
+    fn subscribe(&self, waker: Waker) {
+        self.bus.inner.borrow_mut().lines[self.idx]
+            .watchers
+            .add(waker);
     }
 }
 

@@ -19,6 +19,8 @@
 //! * [`Component`] — the trait all simulated hardware blocks implement.
 //!   Components are bound to clock domains and receive `on_clock_edge`
 //!   callbacks; they can also exchange discrete events.
+//! * [`wake`] — sensitivity lists: the signals whose writes wake a
+//!   sleeping component under event-skip.
 //! * [`fifo`] — bounded ready/valid FIFOs ([`fifo::Producer`]/[`fifo::Consumer`]
 //!   endpoints over shared storage), the universal hardware-channel primitive.
 //! * [`irq`] — shared interrupt lines (set by hardware, observed by the
@@ -68,6 +70,7 @@ pub mod rng;
 pub mod stats;
 pub mod thermal;
 pub mod time;
+pub mod wake;
 
 pub use clock::{ClockDomainId, ClockDomainInfo, DomainCounters};
 pub use component::{Component, ComponentId, Event, EventKey, NextWake};
@@ -77,3 +80,4 @@ pub use irq::{IrqBus, IrqLine};
 pub use rng::{fnv1a, SplitMix64, Xoshiro256StarStar};
 pub use thermal::{ThermalRc, ThermalRcConfig, ThermalSample};
 pub use time::{Frequency, SimDuration, SimTime};
+pub use wake::{Sensitivity, WakeSource, Waker, Watchers};

@@ -9,7 +9,7 @@
 //! change that moves a single byte fails twice: against the oracle and
 //! against the repository history.
 
-use pdr_lab::fabric::AspKind;
+use pdr_lab::fabric::{AspKind, ColumnKind, Floorplan, Geometry, Partition};
 use pdr_lab::pdr::{
     CampaignRun, FaultCampaign, FaultCampaignResult, FaultPlan, ReconfigRequest, RecoveryConfig,
     RecoveryManager, Scheduler, SchedulerConfig, SchedulerReport, SdCard, SystemConfig, TraceLevel,
@@ -230,12 +230,24 @@ fn scheduler_tape_is_identical_across_engines_and_matches_golden() {
 fn reconfig_counters(strategy: EngineStrategy) -> (KernelCounters, KernelCounters) {
     let mut config = SystemConfig::fast_test();
     config.strategy = strategy;
+    reconfig_counters_on(config)
+}
+
+/// Counter readings around the second of two 200 MHz reconfigurations of
+/// RP1.
+fn reconfig_counters_on(config: SystemConfig) -> (KernelCounters, KernelCounters) {
     let mut sys = ZynqPdrSystem::new(config);
     let bs = sys.make_asp_bitstream(0, AspKind::Fir16, 1);
     assert!(sys.reconfigure(0, &bs, Frequency::from_mhz(200)).crc_ok());
     let before = sys.engine_mut().kernel_counters();
     assert!(sys.reconfigure(0, &bs, Frequency::from_mhz(200)).crc_ok());
     (before, sys.engine_mut().kernel_counters())
+}
+
+/// `(wake polls, member calls)` of the pinned reconfiguration.
+fn polls_and_calls(strategy: EngineStrategy) -> (u64, u64) {
+    let (before, after) = reconfig_counters(strategy);
+    (after.polls - before.polls, after.calls - before.calls)
 }
 
 /// A domain's name and its `(pops, dispatched, folded, parked)` change.
@@ -286,6 +298,12 @@ fn reconfiguration_kernel_counters_are_pinned() {
     let pin = |name: &str, d: (u64, u64, u64, u64)| (name.to_string(), d);
     assert_eq!(tick_pops, 178_741);
     assert_eq!(pops, 46_051);
+    // Wake polls and member calls: event-skip polls the members it called,
+    // the event targets and the components whose sources were written, and
+    // calls only members with work; the tick engine calls every member on
+    // every edge and never polls.
+    assert_eq!(polls_and_calls(EngineStrategy::Tick), (0, 299_861));
+    assert_eq!(polls_and_calls(EngineStrategy::EventSkip), (68_100, 68_068));
     assert_eq!(
         skip,
         vec![
@@ -295,5 +313,38 @@ fn reconfiguration_kernel_counters_are_pinned() {
             pin("rp1-clk", (0, 0, 0, 17_303)),
             pin("rp2-clk", (0, 0, 0, 17_303)),
         ]
+    );
+}
+
+/// `fast_test` with `n` partitions of its shape, one per row (`fast_test`
+/// itself has two).
+fn one_partition_per_row(n: u32) -> SystemConfig {
+    let geometry = Geometry::new(n, vec![ColumnKind::Clb; 6]);
+    let partitions = (0..n)
+        .map(|r| Partition::new(&format!("RP{}", r + 1), r, 0..3))
+        .collect();
+    SystemConfig {
+        floorplan: Floorplan::new(geometry, partitions),
+        ..SystemConfig::fast_test()
+    }
+}
+
+#[test]
+fn reconfiguration_work_is_flat_in_the_partition_count() {
+    // Each partition adds a halted data DMA on the AXI clock and an idle
+    // accelerator sink on its own clock. Neither is fed during a
+    // reconfiguration of RP1, so neither may be called, polled or queued:
+    // the work must not grow with the partition count.
+    let work = |config| {
+        let (before, after) = reconfig_counters_on(config);
+        (
+            after.queue_pops - before.queue_pops,
+            after.polls - before.polls,
+            after.calls - before.calls,
+        )
+    };
+    assert_eq!(
+        work(one_partition_per_row(8)),
+        work(SystemConfig::fast_test())
     );
 }

@@ -17,7 +17,7 @@ use pdr_lab::sim::json::Json;
 use pdr_lab::sim::stats::OnlineStats;
 use pdr_lab::sim::{
     fifo_channel, Component, ComponentId, Consumer, EdgeCtx, Engine, EngineStrategy, Event,
-    Frequency, NextWake, Producer, SimDuration,
+    Frequency, NextWake, Producer, Sensitivity, SimDuration,
 };
 
 fn cfg() -> Config {
@@ -550,6 +550,10 @@ impl Component for Sleeper {
             let delay = SimDuration::from_ps(1 + (beat * 7 + self.id * 13) % 20_000);
             ctx.schedule(delay, feeder, Event::with_arg(1, self.id));
         }
+    }
+
+    fn sensitivity(&self, list: &mut Sensitivity) {
+        list.watch(&self.input);
     }
 
     fn next_wake(&self, _now_cycle: u64) -> NextWake {
