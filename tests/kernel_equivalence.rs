@@ -348,3 +348,25 @@ fn reconfiguration_work_is_flat_in_the_partition_count() {
         work(SystemConfig::fast_test())
     );
 }
+
+#[test]
+fn partition_data_traffic_during_a_reconfiguration_matches_tick() {
+    // RP2's data DMA streams 64 KiB into its accelerator while RP1
+    // reconfigures: the register write wakes the halted DMA, its requests
+    // wake the interconnect, its beats wake the partition's sink.
+    let run = |strategy| {
+        let mut config = SystemConfig::fast_test();
+        config.strategy = strategy;
+        let mut sys = ZynqPdrSystem::new(config);
+        let bs = sys.make_asp_bitstream(0, AspKind::Fir16, 1);
+        sys.start_asp_dma(1, 0x40_0000, 64 << 10);
+        let report = sys.reconfigure(0, &bs, Frequency::from_mhz(200));
+        assert!(report.crc_ok());
+        sys.engine_mut().run_for(SimDuration::from_micros(200));
+        assert!(!sys.asp_dma_busy(1), "the data transfer must finish");
+        (report.to_json_string(), observe(&mut sys))
+    };
+    let (tick, skip) = (run(EngineStrategy::Tick), run(EngineStrategy::EventSkip));
+    assert_eq!(tick.0, skip.0, "reconfiguration reports differ");
+    assert_equivalent("partition data traffic", &tick.1, &skip.1);
+}
