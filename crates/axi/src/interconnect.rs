@@ -9,7 +9,8 @@
 
 use pdr_sim_core::json::{Json, JsonError, ToJson};
 use pdr_sim_core::{
-    fifo_channel, impl_json_struct, Component, Consumer, EdgeCtx, NextWake, Producer, Sensitivity,
+    fifo_channel, impl_json_struct, Component, Consumer, EdgeCtx, NextWake, Producer, WakeSource,
+    Waker,
 };
 
 use crate::mm::{ReadBeat, ReadReq};
@@ -175,15 +176,15 @@ impl Component for ReadInterconnect {
         }
     }
 
-    fn sensitivity(&self, list: &mut Sensitivity) {
+    fn sensitivity(&self, waker: &Waker) {
         // Requests from every master attached so far (attach them all
         // before adding the interconnect to an engine), request slots the
         // memory frees, and beats the memory returns.
         for m in &self.masters {
-            list.watch(&m.req_in);
+            m.req_in.subscribe(waker);
         }
-        list.watch(&self.slave_req_out);
-        list.watch(&self.slave_beat_in);
+        self.slave_req_out.subscribe(waker);
+        self.slave_beat_in.subscribe(waker);
     }
 
     fn next_wake(&self, _now_cycle: u64) -> NextWake {

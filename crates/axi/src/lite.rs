@@ -118,14 +118,13 @@ impl RegisterFile {
         inner.regs = regs;
         inner.reads = reads;
         inner.writes = writes;
-        inner.watchers.notify();
         Ok(())
     }
 }
 
 /// A register file wakes its listeners on every write.
 impl WakeSource for RegisterFile {
-    fn subscribe(&self, waker: Waker) {
+    fn subscribe(&self, waker: &Waker) {
         self.inner.borrow_mut().watchers.add(waker);
     }
 }

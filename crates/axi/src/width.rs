@@ -7,7 +7,7 @@
 
 use pdr_sim_core::json::{Json, JsonError, ToJson};
 use pdr_sim_core::{
-    impl_json_struct, Component, Consumer, EdgeCtx, NextWake, Producer, Sensitivity,
+    impl_json_struct, Component, Consumer, EdgeCtx, NextWake, Producer, WakeSource, Waker,
 };
 
 use crate::stream::StreamBeat;
@@ -82,10 +82,10 @@ impl Component for Width64To32 {
         self.words_out += 1;
     }
 
-    fn sensitivity(&self, list: &mut Sensitivity) {
+    fn sensitivity(&self, waker: &Waker) {
         // The DMA pushing a beat and the ICAP popping a word.
-        list.watch(&self.input);
-        list.watch(&self.output);
+        self.input.subscribe(waker);
+        self.output.subscribe(waker);
     }
 
     fn next_wake(&self, _now_cycle: u64) -> NextWake {

@@ -26,7 +26,7 @@ use pdr_axi::stream::StreamBeat;
 use pdr_axi::RegisterFile;
 use pdr_sim_core::json::{Json, JsonError, ToJson};
 use pdr_sim_core::{
-    impl_json_struct, Component, EdgeCtx, IrqLine, NextWake, Producer, Sensitivity,
+    impl_json_struct, Component, EdgeCtx, IrqLine, NextWake, Producer, WakeSource, Waker,
 };
 
 /// `MM2S_DMACR` control register offset.
@@ -346,9 +346,9 @@ impl Component for AxiDma {
         }
     }
 
-    fn sensitivity(&self, list: &mut Sensitivity) {
+    fn sensitivity(&self, waker: &Waker) {
         // Only the doorbell wakes a halted engine; running, it never sleeps.
-        list.watch(&self.regs);
+        self.regs.subscribe(waker);
     }
 
     fn next_wake(&self, _now_cycle: u64) -> NextWake {

@@ -28,7 +28,7 @@ use pdr_bitstream::{Action, CmdCode, FrameAddress, ParseError, Parser, ParserSna
 use pdr_fabric::ConfigMemory;
 use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
 use pdr_sim_core::{
-    Component, Consumer, EdgeCtx, IrqLine, NextWake, Sensitivity, SimTime, Xoshiro256StarStar,
+    Component, Consumer, EdgeCtx, IrqLine, NextWake, SimTime, WakeSource, Waker, Xoshiro256StarStar,
 };
 
 /// Shared handle to the device's configuration memory.
@@ -347,8 +347,8 @@ impl Component for IcapController {
         }
     }
 
-    fn sensitivity(&self, list: &mut Sensitivity) {
-        list.watch(&self.stream_in);
+    fn sensitivity(&self, waker: &Waker) {
+        self.stream_in.subscribe(waker);
     }
 
     fn next_wake(&self, _now_cycle: u64) -> NextWake {

@@ -12,7 +12,7 @@
 use pdr_axi::interconnect::SlaveEndpoints;
 use pdr_axi::mm::ReadBeat;
 use pdr_sim_core::json::{Json, JsonError, ToJson};
-use pdr_sim_core::{impl_json_struct, Component, EdgeCtx, NextWake, Sensitivity};
+use pdr_sim_core::{impl_json_struct, Component, EdgeCtx, NextWake, WakeSource, Waker};
 
 use crate::backing::Backing;
 
@@ -228,8 +228,8 @@ impl Component for DramController {
         }
     }
 
-    fn sensitivity(&self, list: &mut Sensitivity) {
-        list.watch(&self.ports.req);
+    fn sensitivity(&self, waker: &Waker) {
+        self.ports.req.subscribe(waker);
     }
 
     fn next_wake(&self, _now_cycle: u64) -> NextWake {

@@ -20,7 +20,7 @@ use pdr_axi::width::Word32;
 use pdr_sim_core::json::{Json, JsonError, ToJson};
 use pdr_sim_core::{
     fifo_channel, impl_json_struct, Component, Consumer, EdgeCtx, Frequency, NextWake, Producer,
-    Sensitivity, SimDuration,
+    SimDuration, WakeSource, Waker,
 };
 
 use crate::backing::Backing;
@@ -208,8 +208,8 @@ impl Component for QdrSram {
         };
     }
 
-    fn sensitivity(&self, list: &mut Sensitivity) {
-        list.watch(&self.cmd_in);
+    fn sensitivity(&self, waker: &Waker) {
+        self.cmd_in.subscribe(waker);
     }
 
     fn next_wake(&self, _now_cycle: u64) -> NextWake {

@@ -29,7 +29,7 @@ use pdr_icap::{shared_config_memory, IcapController, SharedConfigMemory};
 use pdr_mem::{QdrSram, SramConfig, SramReadCmd};
 use pdr_sim_core::{
     Component, ComponentId, Consumer, EdgeCtx, Engine, EngineStrategy, Frequency, IrqBus, IrqLine,
-    NextWake, Producer, Sensitivity, SimDuration, SimTime,
+    NextWake, Producer, SimDuration, SimTime, WakeSource, Waker,
 };
 
 use crate::system::{bitstream_payload, frames_crc, IDCODE};
@@ -246,10 +246,10 @@ impl Component for Decompressor {
         }
     }
 
-    fn sensitivity(&self, list: &mut Sensitivity) {
+    fn sensitivity(&self, waker: &Waker) {
         // The ICAP freeing a word slot; a load() between runs goes through
         // Engine::component_mut, which re-polls by itself.
-        list.watch(&self.output);
+        self.output.subscribe(waker);
     }
 
     fn next_wake(&self, _now_cycle: u64) -> NextWake {

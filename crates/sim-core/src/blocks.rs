@@ -8,7 +8,7 @@ use crate::component::{Component, NextWake};
 use crate::engine::EdgeCtx;
 use crate::fifo::Consumer;
 use crate::json::{FromJson, Json, JsonError, ToJson};
-use crate::wake::Sensitivity;
+use crate::wake::{WakeSource, Waker};
 
 /// Consumes up to one item per clock edge, counting and optionally
 /// inspecting them.
@@ -74,8 +74,8 @@ impl<T: ToJson + FromJson + 'static, F: FnMut(T) + 'static> Component for Sink<T
         }
     }
 
-    fn sensitivity(&self, list: &mut Sensitivity) {
-        list.watch(&self.input);
+    fn sensitivity(&self, waker: &Waker) {
+        self.input.subscribe(waker);
     }
 
     fn next_wake(&self, now_cycle: u64) -> NextWake {

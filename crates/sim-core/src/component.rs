@@ -5,7 +5,7 @@ use core::fmt;
 
 use crate::engine::EdgeCtx;
 use crate::json::{Json, JsonError};
-use crate::wake::Sensitivity;
+use crate::wake::Waker;
 
 /// Identifies a component registered with an [`Engine`](crate::Engine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -129,19 +129,21 @@ pub trait Component: Any {
         NextWake::EveryCycle
     }
 
-    /// Declares the signals whose writes can move this component's
-    /// [`Component::next_wake`] earlier: typically the
-    /// [`Consumer`](crate::Consumer) it pops (woken by pushes), the
-    /// [`Producer`](crate::Producer) it waits on for space (woken by pops),
-    /// and register files or interrupt lines it polls. Called once, when
-    /// the component is added to an engine, so every source must exist by
-    /// then. Reads are never tracked.
+    /// Declares this component's sensitivity list: subscribes `waker` to
+    /// every signal whose writes can move [`Component::next_wake`] earlier
+    /// ([`WakeSource::subscribe`](crate::WakeSource::subscribe)),
+    /// typically the [`Consumer`](crate::Consumer) it pops (woken by
+    /// pushes), the [`Producer`](crate::Producer) it waits on for space
+    /// (woken by pops), and register files or interrupt lines it checks.
+    /// Called once, when the component is added to an engine, so every
+    /// source must exist by then. Reads are never tracked.
     ///
-    /// The default lists nothing, which is right for components that never
-    /// sleep and for those whose wake changes only through their own edges,
-    /// delivered events or [`Engine::component_mut`](crate::Engine::component_mut).
-    fn sensitivity(&self, list: &mut Sensitivity) {
-        let _ = list;
+    /// The default subscribes to nothing, which is right for components
+    /// that never sleep and for those whose wake changes only through their
+    /// own edges, delivered events or
+    /// [`Engine::component_mut`](crate::Engine::component_mut).
+    fn sensitivity(&self, waker: &Waker) {
+        let _ = waker;
     }
 
     /// Folds the effect of the quiescent edges up to and including `cycle`

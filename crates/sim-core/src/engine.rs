@@ -17,7 +17,7 @@ use crate::clock::{ClockDomain, ClockDomainId, ClockDomainInfo, DomainCounters};
 use crate::component::{Component, ComponentId, Event, NextWake};
 use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::time::{Frequency, SimDuration, SimTime, PS_PER_SEC};
-use crate::wake::{DirtySet, Sensitivity, Waker};
+use crate::wake::{DirtyList, Waker};
 
 /// How the engine advances a clock domain between interesting edges.
 ///
@@ -443,7 +443,7 @@ pub struct Engine {
     strategy: EngineStrategy,
     /// Components whose sensitivity lists saw a write since the last
     /// wake refresh.
-    dirty: DirtySet,
+    dirty: DirtyList,
     /// The members called on the edge being dispatched, kept for its
     /// capacity.
     called: Vec<ComponentId>,
@@ -478,7 +478,7 @@ impl Engine {
             },
             slots: Vec::new(),
             strategy,
-            dirty: DirtySet::default(),
+            dirty: DirtyList::default(),
             called: Vec::new(),
         }
     }
@@ -542,8 +542,8 @@ impl Engine {
     ) -> ComponentId {
         let id = ComponentId(self.slots.len() as u32);
         let name = component.name().to_string();
-        let waker = self.dirty.waker(id.0);
-        component.sensitivity(&mut Sensitivity::new(waker.clone()));
+        let waker = Waker::new(&self.dirty, id.0);
+        component.sensitivity(&waker);
         self.slots.push(Slot {
             component: Some(Box::new(component)),
             name,
@@ -986,15 +986,16 @@ impl Engine {
         for &id in called {
             self.poll(id, true);
         }
-        let dirty = self.dirty.take();
-        for &id in &dirty {
+        loop {
+            let Some(id) = self.dirty.borrow_mut().pop() else {
+                break;
+            };
             let id = ComponentId(id);
             self.slots[id.index()].waker.clear_mark();
             if !called.contains(&id) {
                 self.poll(id, false);
             }
         }
-        self.dirty.put_back(dirty);
         #[cfg(debug_assertions)]
         self.audit_wakes();
     }
@@ -1332,6 +1333,7 @@ impl std::fmt::Debug for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wake::WakeSource;
 
     struct EdgeCounter {
         edges: u64,
@@ -1747,9 +1749,9 @@ mod tests {
         fn name(&self) -> &str {
             "drain"
         }
-        fn sensitivity(&self, list: &mut Sensitivity) {
+        fn sensitivity(&self, waker: &Waker) {
             if self.declared {
-                list.watch(&self.input);
+                self.input.subscribe(waker);
             }
         }
         fn on_clock_edge(&mut self, _ctx: &mut EdgeCtx<'_>) {
@@ -1823,8 +1825,8 @@ mod tests {
             fn name(&self) -> &str {
                 "irq-watcher"
             }
-            fn sensitivity(&self, list: &mut Sensitivity) {
-                list.watch(&self.line);
+            fn sensitivity(&self, waker: &Waker) {
+                self.line.subscribe(waker);
             }
             fn on_clock_edge(&mut self, _ctx: &mut EdgeCtx<'_>) {
                 self.seen += self.line.is_raised() as u64;

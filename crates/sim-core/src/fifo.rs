@@ -213,8 +213,6 @@ impl<T: FromJson> Fifo<T> {
         inner.buf.clear();
         inner.buf.extend(decoded);
         inner.stats = stats;
-        inner.on_push.notify();
-        inner.on_pop.notify();
         Ok(())
     }
 }
@@ -316,14 +314,14 @@ impl<T: Clone> Consumer<T> {
 
 /// A consumer wakes on pushes: data arrived.
 impl<T> WakeSource for Consumer<T> {
-    fn subscribe(&self, waker: Waker) {
+    fn subscribe(&self, waker: &Waker) {
         self.fifo.inner.borrow_mut().on_push.add(waker);
     }
 }
 
 /// A producer wakes on pops: space freed up.
 impl<T> WakeSource for Producer<T> {
-    fn subscribe(&self, waker: Waker) {
+    fn subscribe(&self, waker: &Waker) {
         self.fifo.inner.borrow_mut().on_pop.add(waker);
     }
 }

@@ -165,14 +165,13 @@ impl IrqLine {
         line.raised = raised;
         line.raise_count = raise_count;
         line.last_raised = last_raised;
-        line.watchers.notify();
         Ok(())
     }
 }
 
 /// A line wakes its listeners on every level change.
 impl WakeSource for IrqLine {
-    fn subscribe(&self, waker: Waker) {
+    fn subscribe(&self, waker: &Waker) {
         self.bus.inner.borrow_mut().lines[self.idx]
             .watchers
             .add(waker);

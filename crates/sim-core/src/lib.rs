@@ -80,4 +80,4 @@ pub use irq::{IrqBus, IrqLine};
 pub use rng::{fnv1a, SplitMix64, Xoshiro256StarStar};
 pub use thermal::{ThermalRc, ThermalRcConfig, ThermalSample};
 pub use time::{Frequency, SimDuration, SimTime};
-pub use wake::{Sensitivity, WakeSource, Waker, Watchers};
+pub use wake::{WakeSource, Waker, Watchers};

@@ -15,17 +15,34 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
-/// Marks one component dirty. Signals hold one per component that listens
-/// to them (see [`Watchers`]).
+/// The engine's dirty list: ids of the components marked since the last
+/// wake refresh, each listed once.
+pub(crate) type DirtyList = Rc<RefCell<Vec<u32>>>;
+
+/// Marks one component dirty. The engine hands one to each component as it
+/// is added; the signals on the component's sensitivity list keep clones.
 #[derive(Clone)]
 pub struct Waker {
     /// Set while `id` is on the dirty list, so it is listed once.
     mark: Rc<Cell<bool>>,
-    list: Rc<RefCell<Vec<u32>>>,
+    list: DirtyList,
     id: u32,
 }
 
 impl Waker {
+    /// The waker of component `id`. Grows the list to hold every component
+    /// up to `id`, so a mark never allocates while the engine runs.
+    pub(crate) fn new(list: &DirtyList, id: u32) -> Self {
+        let mut ids = list.borrow_mut();
+        let len = ids.len();
+        ids.reserve((id as usize + 1).saturating_sub(len));
+        Waker {
+            mark: Rc::new(Cell::new(false)),
+            list: Rc::clone(list),
+            id,
+        }
+    }
+
     /// Marks the component dirty: the engine re-polls its wake after the
     /// current action, or at the start of the next run.
     #[inline]
@@ -51,8 +68,8 @@ pub struct Watchers(Vec<Waker>);
 
 impl Watchers {
     /// Adds a listener.
-    pub fn add(&mut self, waker: Waker) {
-        self.0.push(waker);
+    pub fn add(&mut self, waker: &Waker) {
+        self.0.push(waker.clone());
     }
 
     /// Wakes every listener; called by the signal on each write.
@@ -70,68 +87,14 @@ impl fmt::Debug for Watchers {
     }
 }
 
-/// A signal a component can list in its sensitivity list.
+/// A signal a component can put on its sensitivity list.
 ///
 /// Implemented by [`Consumer`](crate::Consumer) (woken by pushes: data
 /// arrived), [`Producer`](crate::Producer) (woken by pops: space freed),
 /// [`IrqLine`](crate::IrqLine) (woken by level changes) and, outside this
 /// crate, by register files (woken by writes).
 pub trait WakeSource {
-    /// Wakes `waker` on every write that this end of the signal observes.
-    fn subscribe(&self, waker: Waker);
-}
-
-/// A component's sensitivity list, collected as it is added to an engine.
-pub struct Sensitivity {
-    waker: Waker,
-}
-
-impl Sensitivity {
-    pub(crate) fn new(waker: Waker) -> Self {
-        Sensitivity { waker }
-    }
-
-    /// Wakes the component on every write to `source`.
-    pub fn watch(&mut self, source: &impl WakeSource) {
-        source.subscribe(self.waker.clone());
-    }
-}
-
-/// The engine's side of the dirty set.
-#[derive(Default)]
-pub(crate) struct DirtySet {
-    /// Components marked since the last drain, each listed once.
-    marked: Rc<RefCell<Vec<u32>>>,
-    /// The buffer the last drain swapped out, kept for its capacity.
-    spare: Vec<u32>,
-}
-
-impl DirtySet {
-    /// The waker for component `id`, growing both buffers to hold every
-    /// component up to `id`: a mark never allocates while the engine runs.
-    pub(crate) fn waker(&mut self, id: u32) -> Waker {
-        let n = id as usize + 1;
-        let mut marked = self.marked.borrow_mut();
-        let len = marked.len();
-        marked.reserve(n.saturating_sub(len));
-        self.spare.reserve(n);
-        Waker {
-            mark: Rc::new(Cell::new(false)),
-            list: Rc::clone(&self.marked),
-            id,
-        }
-    }
-
-    /// Takes the marked ids, leaving an empty list of the same capacity.
-    /// Hand the buffer back with [`DirtySet::put_back`].
-    pub(crate) fn take(&mut self) -> Vec<u32> {
-        let mut ids = std::mem::take(&mut self.spare);
-        std::mem::swap(&mut ids, &mut *self.marked.borrow_mut());
-        ids
-    }
-
-    pub(crate) fn put_back(&mut self, mut ids: Vec<u32>) {
-        ids.clear();
-        self.spare = ids;
-    }
+    /// Wakes `waker`'s component on every write this end of the signal
+    /// observes.
+    fn subscribe(&self, waker: &Waker);
 }

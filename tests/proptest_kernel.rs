@@ -17,7 +17,7 @@ use pdr_lab::sim::json::Json;
 use pdr_lab::sim::stats::OnlineStats;
 use pdr_lab::sim::{
     fifo_channel, Component, ComponentId, Consumer, EdgeCtx, Engine, EngineStrategy, Event,
-    Frequency, NextWake, Producer, Sensitivity, SimDuration,
+    Frequency, NextWake, Producer, SimDuration, WakeSource, Waker,
 };
 
 fn cfg() -> Config {
@@ -552,8 +552,8 @@ impl Component for Sleeper {
         }
     }
 
-    fn sensitivity(&self, list: &mut Sensitivity) {
-        list.watch(&self.input);
+    fn sensitivity(&self, waker: &Waker) {
+        self.input.subscribe(waker);
     }
 
     fn next_wake(&self, _now_cycle: u64) -> NextWake {
