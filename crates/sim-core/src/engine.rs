@@ -554,8 +554,7 @@ impl Engine {
         if let Some(d) = domain {
             self.kernel.domains[d.index()].members.push(id);
             let members = self.kernel.domains[d.index()].members.len();
-            self.called
-                .reserve(members.saturating_sub(self.called.len()));
+            self.called.reserve(members);
         }
         id
     }
@@ -1274,8 +1273,8 @@ impl Engine {
             d.gated = dv.gated;
         }
         for (i, cv) in components.iter().enumerate() {
-            // Nothing written before the restore is on the dirty set: the
-            // next run re-polls every component.
+            // The restored state's pending writes were never marked on
+            // this engine: the next run re-polls every component.
             self.slots[i].waker.wake();
             self.slots[i].due_cycle = cv.field("due_cycle")?;
             self.slots[i]
