@@ -1866,6 +1866,98 @@ mod tests {
         assert_eq!(run(EngineStrategy::EventSkip), (3, 5));
     }
 
+    /// What a [`Lever`] does to its own domain on every eighth edge.
+    #[derive(Clone, Copy)]
+    enum Pull {
+        Reprogram,
+        Gate,
+        SelfEvent,
+    }
+
+    /// Works on five edges of every eight and sleeps through the other
+    /// three, pulling its own domain's lever on the fifth.
+    struct Lever {
+        pull: Pull,
+        log: Vec<(u64, u64)>,
+    }
+    impl Component for Lever {
+        fn name(&self) -> &str {
+            "lever"
+        }
+        fn on_clock_edge(&mut self, ctx: &mut EdgeCtx<'_>) {
+            let cycle = ctx.cycle();
+            if cycle % 8 >= 5 {
+                return;
+            }
+            self.log.push((ctx.now().as_ps(), cycle));
+            let own = ctx.domain().expect("clocked");
+            match (self.pull, cycle % 8 == 4) {
+                (Pull::Reprogram, true) => {
+                    let mhz = if ctx.clock_frequency(own) == Frequency::from_mhz(100) {
+                        150
+                    } else {
+                        100
+                    };
+                    ctx.set_clock_frequency(own, Frequency::from_mhz(mhz));
+                }
+                (Pull::Gate, true) => ctx.gate_clock(own, true),
+                (Pull::SelfEvent, _) => {
+                    ctx.schedule_self(SimDuration::ZERO, Event::with_arg(0, cycle))
+                }
+                _ => {}
+            }
+        }
+        fn on_event(&mut self, ctx: &mut EdgeCtx<'_>, event: Event) {
+            self.log.push((ctx.now().as_ps(), 1_000_000 + event.a));
+        }
+        fn next_wake(&self, now_cycle: u64) -> NextWake {
+            match (now_cycle + 1) % 8 {
+                c @ 5..=7 => NextWake::In(9 - c),
+                _ => NextWake::EveryCycle,
+            }
+        }
+    }
+
+    /// The dispatched edge's successor, a member re-programming or gating
+    /// its own domain mid-edge, and a zero-delay event on the same instant
+    /// leave the queue (every entry with its sequence number), the clocks
+    /// and the work order exactly as pinned, in both kernels, after every
+    /// run segment. A sleeping beacon on a second domain parks around them.
+    #[test]
+    fn dispatched_edge_successors_are_pinned_in_both_kernels() {
+        let run = |strategy, pull| {
+            let mut e = Engine::with_strategy(strategy);
+            let own = e.add_clock_domain("own", Frequency::from_mhz(100));
+            let other = e.add_clock_domain("other", Frequency::from_mhz(70));
+            let lever = e.add_component(Lever { pull, log: vec![] }, Some(own));
+            e.add_component(Beacon::new(5), Some(other));
+            let mut states = Vec::new();
+            for _ in 0..4 {
+                e.run_for(SimDuration::from_nanos(230));
+                let mut state = e.snapshot();
+                if let Json::Obj(fields) = &mut state {
+                    fields.retain(|(k, _)| k != "components");
+                }
+                states.push(state.render());
+                e.gate_clock(own, false);
+            }
+            let log = e.component::<Lever>(lever).log.clone();
+            (states, log, e.kernel_counters().queue_pops)
+        };
+        for (pull, pin) in [
+            (Pull::Reprogram, 0x8104_5e54_c702_7353),
+            (Pull::Gate, 0x6e84_9ef1_03db_00b7),
+            (Pull::SelfEvent, 0x8a2b_08ed_ccdf_0752),
+        ] {
+            let tick = run(EngineStrategy::Tick, pull);
+            let skip = run(EngineStrategy::EventSkip, pull);
+            assert_eq!(tick.0, skip.0, "queue or clocks diverged");
+            assert_eq!(tick.1, skip.1, "work order diverged");
+            let digest = crate::fnv1a(format!("{tick:?}").as_bytes());
+            assert_eq!(digest, pin, "{tick:?}");
+        }
+    }
+
     /// Two clocked domains (one gated mid-run), a pending event, and a
     /// snapshot of the lot, for the restore-validation tests.
     fn restorable() -> (impl Fn() -> Engine, Json) {

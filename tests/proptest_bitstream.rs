@@ -121,6 +121,70 @@ property! {
         y.absorb(2, a);
         assert_ne!(x.value(), y.value());
     }
+
+    /// The config CRC equals the bit-serial definition — 32 data bits then
+    /// the 5 low address bits, each LSB first, into a reflected CRC-32C —
+    /// over arbitrary register writes and `RCRC` resets (`None`).
+    fn config_crc_matches_the_bit_serial_definition(
+        writes in vec_of(weighted(vec![
+            (1, pdr_testkit::constant(None)),
+            (8, tuple2(any_u32(), any_u32()).map(Some)),
+        ]), 1..64),
+    ) {
+        use pdr_lab::bitstream::ConfigCrc;
+        let mut crc = ConfigCrc::new();
+        let mut oracle = 0u32;
+        for write in writes {
+            let Some((reg, data)) = write else {
+                crc.reset();
+                oracle = 0;
+                continue;
+            };
+            crc.absorb(reg, data);
+            let bits = (0..32).map(|i| (data >> i) & 1).chain((0..5).map(|i| (reg >> i) & 1));
+            for bit in bits {
+                let feedback = (oracle ^ bit) & 1;
+                oracle >>= 1;
+                if feedback != 0 {
+                    oracle ^= pdr_lab::bitstream::crc::POLY_CASTAGNOLI;
+                }
+            }
+            assert_eq!(crc.value(), oracle);
+        }
+    }
+
+    /// Both CRC-32 engines give the byte-at-a-time result whatever the
+    /// chunking: one long `update`, a random split, and `update_word` on
+    /// little-endian words.
+    fn crc32_chunking_never_changes_the_value(
+        bytes in vec_of(u32s(0..256).map(|b| b as u8), 0..200),
+        split in indices(),
+        words in vec_of(any_u32(), 0..16),
+    ) {
+        use pdr_lab::bitstream::Crc32;
+        for engine in [Crc32::ieee(), Crc32::castagnoli()] {
+            let mut bytewise = engine.clone();
+            for &b in &bytes {
+                bytewise.update(&[b]);
+            }
+            let mut whole = engine.clone();
+            whole.update(&bytes);
+            assert_eq!(whole.value(), bytewise.value());
+            let (head, tail) = bytes.split_at(split.index(bytes.len() + 1));
+            let mut split_up = engine.clone();
+            split_up.update(head);
+            split_up.update(tail);
+            assert_eq!(split_up.value(), bytewise.value());
+
+            for &w in &words {
+                for b in w.to_le_bytes() {
+                    bytewise.update(&[b]);
+                }
+                whole.update_word(w);
+                assert_eq!(whole.value(), bytewise.value());
+            }
+        }
+    }
 }
 
 /// The counterexample recorded by the retired proptest regression file
