@@ -200,7 +200,8 @@ pub struct RunResult {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelCounters {
     /// Entries popped off the event queue: live and stale edges and event
-    /// deliveries. A parked domain's edges pop nothing.
+    /// deliveries. A dispatched edge overwritten in place by its successor
+    /// counts as popped; a parked domain's edges pop nothing.
     pub queue_pops: u64,
     /// [`Component::next_wake`] polls. The tick engine never polls.
     pub polls: u64,
@@ -259,14 +260,39 @@ impl Kernel {
         }
     }
 
+    /// Retires a dispatched edge and queues its `successor`, if any. An
+    /// edge popped off the parked list (`dispatched` is `None`) is already
+    /// gone, so its successor is pushed. An edge from the queue was left at
+    /// the top while its members ran: everything they pushed lies at or
+    /// after it in time and takes a later sequence number, so it is still
+    /// the minimum. The successor overwrites it in place, one sift-down
+    /// instead of a pop and a push; without one, it pops.
+    fn requeue(&mut self, dispatched: Option<QueueEntry>, successor: Option<QueueEntry>) {
+        match (dispatched, successor) {
+            (Some(done), Some(next)) => {
+                let mut top = self
+                    .queue
+                    .peek_mut()
+                    .expect("the dispatched edge is queued");
+                debug_assert!(top.0 == done, "the dispatched edge left the queue top");
+                top.0 = next;
+            }
+            (Some(done), None) => {
+                let top = self.queue.pop();
+                debug_assert!(
+                    top == Some(Reverse(done)),
+                    "the dispatched edge left the queue top"
+                );
+            }
+            (None, Some(next)) => self.queue.push(Reverse(next)),
+            (None, None) => {}
+        }
+    }
+
     /// Parks a running domain: its next edge goes on the parked list with
     /// the sequence number the tick engine's re-push would take.
     fn park(&mut self, id: ClockDomainId) {
         let entry = self.next_edge_entry(id);
-        self.insert_parked(entry);
-    }
-
-    fn insert_parked(&mut self, entry: QueueEntry) {
         let at = self.parked.partition_point(|e| *e < entry);
         self.parked.insert(at, entry);
     }
@@ -718,7 +744,7 @@ impl Engine {
                     if self.due(domain) {
                         self.kernel.parked.remove(0);
                         self.kernel.now = p.time;
-                        self.run_edge(domain);
+                        self.run_edge(domain, None);
                         return Step::Ran;
                     }
                     let past_deadline = SimTime::from_ps(deadline.as_ps().saturating_add(1));
@@ -732,30 +758,34 @@ impl Engine {
             if entry.time > deadline {
                 return Step::PastDeadline;
             }
-            self.kernel.queue.pop();
             self.kernel.queue_pops += 1;
             debug_assert!(entry.time >= self.kernel.now, "time ran backwards");
             self.kernel.now = entry.time;
-            self.execute(entry.action);
+            self.execute(entry);
             return Step::Ran;
         }
     }
 
-    /// Executes one popped action. Under event-skip, a live edge on which
-    /// every member sleeps is accounted as the tick engine's no-op dispatch
-    /// without calling the members, and its domain parks.
-    fn execute(&mut self, action: Action) {
-        match action {
+    /// Executes the entry at the queue top and pops it, counting one queue
+    /// pop. A live edge that dispatches stays at the top until its
+    /// successor overwrites it ([`Kernel::requeue`]). Under event-skip, a
+    /// live edge on which every member sleeps is accounted as the tick
+    /// engine's no-op dispatch without calling the members, and its domain
+    /// parks.
+    fn execute(&mut self, entry: QueueEntry) {
+        match entry.action {
             Action::Edge { domain, generation } => {
                 let d = &mut self.kernel.domains[domain.index()];
                 d.counters.pops += 1;
                 if d.gated || d.generation != generation {
                     // Stale edge from before a re-program or gate: both
                     // kernels count it as a no-op dispatch.
+                    self.kernel.queue.pop();
                     self.kernel.actions_dispatched += 1;
                 } else if self.strategy == EngineStrategy::Tick || self.due(domain) {
-                    self.run_edge(domain);
+                    self.run_edge(domain, Some(entry));
                 } else {
+                    self.kernel.queue.pop();
                     let d = &mut self.kernel.domains[domain.index()];
                     d.advance(1);
                     d.counters.folded += 1;
@@ -764,6 +794,7 @@ impl Engine {
                 }
             }
             Action::Deliver { target, event } => {
+                self.kernel.queue.pop();
                 self.kernel.actions_dispatched += 1;
                 let domain = self.slots[target.index()].domain;
                 self.call(target, domain, Some(event));
@@ -778,12 +809,14 @@ impl Engine {
     /// `ctx.cycle()` observes the edge being processed), calls its members
     /// in registration order, then queues its next edge — or, under
     /// event-skip, parks the domain if every member sleeps through it.
+    /// `dispatched` is the edge's entry while it sits at the queue top,
+    /// `None` for an edge taken off the parked list.
     ///
     /// Under event-skip a member sleeping past this edge is not called,
     /// unless it is dirty when its turn comes: a member earlier in the
     /// order may have just fed it, and the tick engine's call would act on
     /// that input on this very edge. Its `catch_up` covers the skipped edge.
-    fn run_edge(&mut self, domain: ClockDomainId) {
+    fn run_edge(&mut self, domain: ClockDomainId, dispatched: Option<QueueEntry>) {
         self.kernel.actions_dispatched += 1;
         let (generation, cycle, members) = {
             let d = &mut self.kernel.domains[domain.index()];
@@ -815,13 +848,15 @@ impl Engine {
         }
         called.clear();
         self.called = called;
-        if skip && current && !self.due(domain) {
+        let successor = if !current {
+            None
+        } else if skip && !self.due(domain) {
             self.kernel.park(domain);
-            return;
-        }
-        if current {
-            self.kernel.schedule_edge(domain);
-        }
+            None
+        } else {
+            Some(self.kernel.next_edge_entry(domain))
+        };
+        self.kernel.requeue(dispatched, successor);
     }
 
     /// The earliest cycle on which a member of `domain` declared work
@@ -854,20 +889,25 @@ impl Engine {
             return;
         }
         // The tick engine pops this edge, dispatches it as a no-op and
-        // pushes the next one.
-        self.kernel.parked.remove(0);
+        // pushes the next one: here the next one takes the head's place
+        // and moves back past every entry that pops before it.
         let d = &mut self.kernel.domains[id.index()];
         d.advance(1);
         d.counters.parked += 1;
         self.kernel.now = head.time;
         self.kernel.actions_dispatched += 1;
-        let seq = self.kernel.seq;
-        self.kernel.seq += 1;
-        self.kernel.insert_parked(QueueEntry {
+        let parked = &mut self.kernel.parked;
+        parked[0] = QueueEntry {
             time: after,
-            seq,
+            seq: self.kernel.seq,
             action: head.action,
-        });
+        };
+        self.kernel.seq += 1;
+        let mut i = 0;
+        while i + 1 < parked.len() && parked[i + 1] < parked[i] {
+            parked.swap(i, i + 1);
+            i += 1;
+        }
     }
 
     /// Folds every parked domain's edges before `bound` and before the
