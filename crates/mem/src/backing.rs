@@ -7,10 +7,12 @@ use std::rc::Rc;
 use pdr_sim_core::impl_json_struct;
 use pdr_sim_core::json::{from_hex, to_hex, Json, JsonError, ToJson};
 
-/// Page granule for sparse checkpoint serialisation. Backings are large
-/// (16 MB DRAM) but mostly zero; only pages with set bits are recorded.
-const SNAP_PAGE: usize = 4096;
-const ZERO_PAGE: [u8; SNAP_PAGE] = [0; SNAP_PAGE];
+/// Storage granule: a page is allocated on its first write, and an absent
+/// page reads as zero. Backings are large (16 MB DRAM) but mostly empty,
+/// so a store holds only the pages written, and a checkpoint records only
+/// the pages holding set bits.
+const PAGE: usize = 4096;
+const ZERO_PAGE: [u8; PAGE] = [0; PAGE];
 
 /// One non-zero page of a checkpoint, hex-encoded.
 struct Page {
@@ -21,8 +23,54 @@ impl_json_struct!(Page { page, hex });
 
 #[derive(Debug)]
 struct Inner {
-    bytes: Vec<u8>,
+    len: usize,
+    /// `len` bytes, page by page; the last page may run past `len`, and
+    /// those bytes stay zero.
+    pages: Vec<Option<Box<[u8; PAGE]>>>,
     oob_accesses: u64,
+}
+
+impl Inner {
+    /// Copies `data` to `start`, allocating the pages it touches.
+    fn write_at(&mut self, start: usize, data: &[u8]) {
+        let (mut at, mut rest) = (start, data);
+        while !rest.is_empty() {
+            let (page, offset) = (at / PAGE, at % PAGE);
+            let n = rest.len().min(PAGE - offset);
+            let dst = self.pages[page].get_or_insert_with(|| Box::new(ZERO_PAGE));
+            dst[offset..offset + n].copy_from_slice(&rest[..n]);
+            at += n;
+            rest = &rest[n..];
+        }
+    }
+
+    /// Fills `dst` from `start`, with zeros for absent pages.
+    fn read_at(&self, start: usize, dst: &mut [u8]) {
+        let (mut at, mut rest) = (start, dst);
+        while !rest.is_empty() {
+            let (page, offset) = (at / PAGE, at % PAGE);
+            let n = rest.len().min(PAGE - offset);
+            let (head, tail) = rest.split_at_mut(n);
+            match &self.pages[page] {
+                Some(src) => head.copy_from_slice(&src[offset..offset + n]),
+                None => head.fill(0),
+            }
+            at += n;
+            rest = tail;
+        }
+    }
+
+    /// Reads `N` bytes at `start`, or zero (counted) out of range.
+    fn read_array<const N: usize>(&mut self, start: u64) -> [u8; N] {
+        let mut bytes = [0; N];
+        match usize::try_from(start) {
+            Ok(start) if start.checked_add(N).is_some_and(|end| end <= self.len) => {
+                self.read_at(start, &mut bytes);
+            }
+            _ => self.oob_accesses += 1,
+        }
+        bytes
+    }
 }
 
 /// A shared, bounds-checked byte store. The processor model writes
@@ -34,11 +82,12 @@ pub struct Backing {
 }
 
 impl Backing {
-    /// Allocates `size` zeroed bytes.
+    /// Creates a store of `size` zero bytes, none of them allocated yet.
     pub fn new(size: usize) -> Self {
         Backing {
             inner: Rc::new(RefCell::new(Inner {
-                bytes: vec![0; size],
+                len: size,
+                pages: vec![None; size.div_ceil(PAGE)],
                 oob_accesses: 0,
             })),
         }
@@ -46,7 +95,7 @@ impl Backing {
 
     /// Capacity in bytes.
     pub fn len(&self) -> usize {
-        self.inner.borrow().bytes.len()
+        self.inner.borrow().len
     }
 
     /// True for a zero-capacity store.
@@ -68,35 +117,23 @@ impl Backing {
             .checked_add(data.len())
             .expect("address arithmetic overflow");
         assert!(
-            end <= inner.bytes.len(),
+            end <= inner.len,
             "write [{start}, {end}) outside backing of {} bytes",
-            inner.bytes.len()
+            inner.len
         );
-        inner.bytes[start..end].copy_from_slice(data);
+        inner.write_at(start, data);
     }
 
     /// Reads the 64-bit little-endian word at `addr`. Out-of-range reads
     /// return zero and are counted (hardware reading a bad address returns
     /// bus garbage rather than halting the system).
     pub fn read_u64(&self, addr: u64) -> u64 {
-        let mut inner = self.inner.borrow_mut();
-        let start = addr as usize;
-        if start + 8 > inner.bytes.len() {
-            inner.oob_accesses += 1;
-            return 0;
-        }
-        u64::from_le_bytes(inner.bytes[start..start + 8].try_into().expect("8 bytes"))
+        u64::from_le_bytes(self.inner.borrow_mut().read_array(addr))
     }
 
     /// Reads the 32-bit little-endian word at `addr` (zero out of range).
     pub fn read_u32(&self, addr: u64) -> u32 {
-        let mut inner = self.inner.borrow_mut();
-        let start = addr as usize;
-        if start + 4 > inner.bytes.len() {
-            inner.oob_accesses += 1;
-            return 0;
-        }
-        u32::from_le_bytes(inner.bytes[start..start + 4].try_into().expect("4 bytes"))
+        u32::from_le_bytes(self.inner.borrow_mut().read_array(addr))
     }
 
     /// Copies out `len` bytes at `addr`.
@@ -107,8 +144,10 @@ impl Backing {
     pub fn read_slice(&self, addr: u64, len: usize) -> Vec<u8> {
         let inner = self.inner.borrow();
         let start = addr as usize;
-        assert!(start + len <= inner.bytes.len(), "read outside backing");
-        inner.bytes[start..start + len].to_vec()
+        assert!(start + len <= inner.len, "read outside backing");
+        let mut bytes = vec![0; len];
+        inner.read_at(start, &mut bytes);
+        bytes
     }
 
     /// Count of out-of-range hardware reads observed.
@@ -122,9 +161,13 @@ impl Backing {
     pub fn snapshot_json(&self) -> Json {
         let inner = self.inner.borrow();
         let mut pages = Vec::new();
-        for (idx, chunk) in inner.bytes.chunks(SNAP_PAGE).enumerate() {
+        for (idx, page) in inner.pages.iter().enumerate() {
+            let Some(page) = page else {
+                continue;
+            };
+            let chunk = &page[..PAGE.min(inner.len - idx * PAGE)];
             // Slice equality on bytes is a `memcmp`, several times faster
-            // than a byte loop over a mostly zero 16 MB store.
+            // than a byte loop.
             if chunk != &ZERO_PAGE[..chunk.len()] {
                 pages.push(Page {
                     page: idx,
@@ -133,34 +176,39 @@ impl Backing {
             }
         }
         Json::Obj(vec![
-            ("len".to_string(), inner.bytes.len().to_json()),
+            ("len".to_string(), inner.len.to_json()),
             ("oob_accesses".to_string(), inner.oob_accesses.to_json()),
             ("pages".to_string(), pages.to_json()),
         ])
     }
 
     /// Restores contents captured by [`Backing::snapshot_json`] into a store
-    /// of the same capacity, zeroing everything first.
+    /// of the same capacity: every page is dropped, then the snapshot's
+    /// pages are written.
     pub fn restore_json(&self, v: &Json) -> Result<(), JsonError> {
         let err = |msg: String| JsonError { msg };
         let len: usize = v.field("len")?;
         let oob = v.field("oob_accesses")?;
         let pages: Vec<Page> = v.field("pages")?;
         let mut inner = self.inner.borrow_mut();
-        if len != inner.bytes.len() {
+        if len != inner.len {
             return Err(err(format!(
                 "backing snapshot is {len} bytes, store is {}",
-                inner.bytes.len()
+                inner.len
             )));
         }
-        inner.bytes.fill(0);
+        let mut writes = Vec::with_capacity(pages.len());
         for Page { page, hex } in pages {
             let bytes = from_hex(&hex)?;
-            let dst = page
-                .checked_mul(SNAP_PAGE)
-                .and_then(|start| inner.bytes.get_mut(start..start.checked_add(bytes.len())?))
+            let start = page
+                .checked_mul(PAGE)
+                .filter(|start| start.checked_add(bytes.len()).is_some_and(|end| end <= len))
                 .ok_or_else(|| err(format!("backing page {page} out of range")))?;
-            dst.copy_from_slice(&bytes);
+            writes.push((start, bytes));
+        }
+        inner.pages.fill(None);
+        for (start, bytes) in writes {
+            inner.write_at(start, &bytes);
         }
         inner.oob_accesses = oob;
         Ok(())
@@ -210,5 +258,95 @@ mod tests {
         let b = a.clone();
         a.write(0, &[9; 8]);
         assert_eq!(b.read_u64(0), u64::from_le_bytes([9; 8]));
+    }
+
+    fn allocated_pages(b: &Backing) -> usize {
+        b.inner.borrow().pages.iter().flatten().count()
+    }
+
+    #[test]
+    fn accesses_straddle_page_boundaries() {
+        let b = Backing::new(3 * PAGE);
+        let data: Vec<u8> = (1..=20).collect();
+        b.write(PAGE as u64 - 10, &data);
+        assert_eq!(allocated_pages(&b), 2);
+        assert_eq!(b.read_slice(PAGE as u64 - 10, 20), data);
+        assert_eq!(
+            b.read_u64(PAGE as u64 - 4),
+            u64::from_le_bytes([7, 8, 9, 10, 11, 12, 13, 14])
+        );
+        assert_eq!(
+            b.read_u32(PAGE as u64 - 2),
+            u32::from_le_bytes([9, 10, 11, 12])
+        );
+        // A page-sized write from mid-page spans two pages, one of them new.
+        b.write(2 * PAGE as u64 - 1, &[0xAB; PAGE]);
+        assert_eq!(allocated_pages(&b), 3);
+        assert_eq!(
+            b.read_u32(2 * PAGE as u64 - 2),
+            u32::from_le_bytes([0, 0xAB, 0xAB, 0xAB])
+        );
+        assert_eq!(b.oob_accesses(), 0);
+    }
+
+    #[test]
+    fn absent_pages_read_as_zero_without_allocating() {
+        let b = Backing::new(16 * PAGE + 100);
+        assert_eq!(b.read_u64(5 * PAGE as u64 - 3), 0);
+        assert_eq!(b.read_u32(16 * PAGE as u64 + 96), 0);
+        assert_eq!(b.read_slice(0, 3 * PAGE), vec![0; 3 * PAGE]);
+        assert_eq!(allocated_pages(&b), 0);
+        // The last page is partial: reads past `len` are out of range.
+        assert_eq!(b.read_u32(16 * PAGE as u64 + 97), 0);
+        assert_eq!(b.oob_accesses(), 1);
+    }
+
+    #[test]
+    fn restore_drops_pages_written_after_the_snapshot() {
+        let b = Backing::new(4 * PAGE);
+        b.write(10, &[1, 2, 3]);
+        let snap = b.snapshot_json();
+        b.write(10, &[7]);
+        b.write(3 * PAGE as u64, &[5; 8]);
+        assert_eq!(allocated_pages(&b), 2);
+        b.restore_json(&snap).unwrap();
+        assert_eq!(allocated_pages(&b), 1);
+        assert_eq!(b.read_slice(9, 5), vec![0, 1, 2, 3, 0]);
+        assert_eq!(b.read_u64(3 * PAGE as u64), 0);
+        assert_eq!(b.snapshot_json().render(), snap.render());
+    }
+
+    #[test]
+    fn snapshots_leave_out_written_pages_that_are_all_zero() {
+        let b = Backing::new(2 * PAGE + 64);
+        b.write(PAGE as u64, &[0; 16]);
+        b.write(2 * PAGE as u64 + 60, &[4, 0, 0, 0]);
+        assert_eq!(allocated_pages(&b), 2);
+        let snap = b.snapshot_json();
+        let pages: Vec<Page> = snap.field("pages").unwrap();
+        let listed: Vec<(usize, usize)> = pages.iter().map(|p| (p.page, p.hex.len())).collect();
+        // Only the partial last page, hex-encoded over its 64 bytes.
+        assert_eq!(listed, vec![(2, 128)]);
+        let fresh = Backing::new(2 * PAGE + 64);
+        fresh.restore_json(&snap).unwrap();
+        assert_eq!(fresh.read_u32(2 * PAGE as u64 + 60), 4);
+        assert_eq!(fresh.snapshot_json().render(), snap.render());
+    }
+
+    #[test]
+    fn restore_rejects_a_page_past_the_end() {
+        let b = Backing::new(PAGE + 8);
+        b.write(PAGE as u64, &[1; 8]);
+        let snap = b
+            .snapshot_json()
+            .render()
+            .replace("\"page\":1", "\"page\":2");
+        let err = b.restore_json(&Json::parse(&snap).unwrap()).unwrap_err();
+        assert!(
+            err.msg.contains("backing page 2 out of range"),
+            "{}",
+            err.msg
+        );
+        assert_eq!(b.read_u64(PAGE as u64), u64::from_le_bytes([1; 8]));
     }
 }
