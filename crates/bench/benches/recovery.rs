@@ -18,12 +18,13 @@ use pdr_fabric::AspKind;
 use pdr_sim_core::stats::OnlineStats;
 use pdr_sim_core::Frequency;
 
+/// Upsets injected on the full-scale device. The published table records
+/// this scale, so it is fixed: `PDR_BENCH_SAMPLES` sizes timing loops only.
+const SEU_SAMPLES: u32 = 8;
+
 fn main() {
     let t0 = std::time::Instant::now();
-    let samples: u32 = std::env::var("PDR_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
+    let samples = SEU_SAMPLES;
 
     // -- scrub latency, full-scale device ---------------------------------
     let mut sys = ZynqPdrSystem::new(SystemConfig {

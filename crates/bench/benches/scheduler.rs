@@ -30,6 +30,9 @@ use pdr_sim_core::json::{Json, ToJson};
 use pdr_sim_core::SimDuration;
 
 const PARTITIONS: usize = 4;
+/// Request waves per run. The committed snapshot records this scale, so it
+/// is fixed: `PDR_BENCH_SAMPLES` sizes timing loops only.
+const WAVES: u32 = 8;
 
 /// Runs `waves` submission waves over all partitions with `config` and
 /// returns the telemetry.
@@ -64,10 +67,7 @@ fn run(config: SchedulerConfig, waves: u32, warm: bool) -> SchedulerReport {
 
 fn main() {
     let t0 = std::time::Instant::now();
-    let waves: u32 = std::env::var("PDR_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
+    let waves = WAVES;
 
     let baseline = run(SchedulerConfig::default().baseline(), waves, false);
     let scheduler = run(SchedulerConfig::default(), waves, true);
