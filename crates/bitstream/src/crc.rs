@@ -87,12 +87,28 @@ impl Crc32 {
         self.state = 0xFFFF_FFFF;
     }
 
-    /// Absorbs bytes: eight per step, then the tail byte by byte.
+    /// Absorbs bytes: eight per step, then the tail byte by byte. Kept
+    /// small enough to inline into byte-at-a-time callers (the streaming
+    /// decoder).
+    #[inline]
     pub fn update(&mut self, data: &[u8]) {
+        let (octets, tail) = data.split_at(data.len() & !7);
+        if !octets.is_empty() {
+            self.update_octets(octets);
+        }
+        let t = &self.tables[0];
+        let mut crc = self.state;
+        for &b in tail {
+            crc = (crc >> 8) ^ t[((crc ^ b as u32) & 0xFF) as usize];
+        }
+        self.state = crc;
+    }
+
+    /// Slice-by-8 over a whole number of 8-byte groups.
+    fn update_octets(&mut self, data: &[u8]) {
         let t = self.tables;
         let mut crc = self.state;
-        let mut chunks = data.chunks_exact(8);
-        for c in &mut chunks {
+        for c in data.chunks_exact(8) {
             let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
             let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
             crc = t[7][(lo & 0xFF) as usize]
@@ -104,13 +120,11 @@ impl Crc32 {
                 ^ t[1][((hi >> 16) & 0xFF) as usize]
                 ^ t[0][(hi >> 24) as usize];
         }
-        for &b in chunks.remainder() {
-            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
-        }
         self.state = crc;
     }
 
     /// Absorbs one 32-bit word (little-endian byte order) in one step.
+    #[inline]
     pub fn update_word(&mut self, word: u32) {
         let t = self.tables;
         let x = self.state ^ word;

@@ -766,9 +766,10 @@ impl Engine {
         }
     }
 
-    /// Executes the entry at the queue top and pops it, counting one queue
-    /// pop. A live edge that dispatches stays at the top until its
-    /// successor overwrites it ([`Kernel::requeue`]). Under event-skip, a
+    /// Executes the entry at the queue top, which the caller has counted
+    /// as popped, and takes it off the queue. A live edge that dispatches
+    /// stays at the top until its successor overwrites it
+    /// ([`Kernel::requeue`]). Under event-skip, a
     /// live edge on which every member sleeps is accounted as the tick
     /// engine's no-op dispatch without calling the members, and its domain
     /// parks.
