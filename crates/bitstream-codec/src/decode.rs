@@ -127,6 +127,9 @@ enum OpState {
     Copy { left: u16, dist: u16 },
 }
 
+/// The longest run of payload bytes the block CRC absorbs in one slice.
+const CRC_RUN_BYTES: usize = 64;
+
 enum PayloadByte {
     Byte(u8),
     Starved,
@@ -149,6 +152,10 @@ pub struct StreamDecoder {
     raw_left: u32,
     expected_crc: u32,
     crc: Crc32,
+    /// Payload bytes consumed since the CRC last absorbed any: the CRC
+    /// takes them as one slice when the run fills or the block ends.
+    crc_run: [u8; CRC_RUN_BYTES],
+    crc_run_len: usize,
     op: OpState,
     pbuf: [u8; 4],
     wbuf: [u8; 4],
@@ -187,6 +194,8 @@ impl StreamDecoder {
             raw_left: 0,
             expected_crc: 0,
             crc: Crc32::ieee(),
+            crc_run: [0; CRC_RUN_BYTES],
+            crc_run_len: 0,
             op: OpState::NeedOpcode,
             pbuf: [0; 4],
             wbuf: [0; 4],
@@ -261,12 +270,22 @@ impl StreamDecoder {
         }
         match self.input.pop_front() {
             Some(b) => {
-                self.crc.update(&[b]);
+                if self.crc_run_len == CRC_RUN_BYTES {
+                    self.absorb_crc_run();
+                }
+                self.crc_run[self.crc_run_len] = b;
+                self.crc_run_len += 1;
                 self.payload_left -= 1;
                 PayloadByte::Byte(b)
             }
             None => PayloadByte::Starved,
         }
+    }
+
+    /// Feeds the pending run of payload bytes to the block CRC.
+    fn absorb_crc_run(&mut self) {
+        self.crc.update(&self.crc_run[..self.crc_run_len]);
+        self.crc_run_len = 0;
     }
 
     /// Emits one decoded word into the history window and the output.
@@ -352,6 +371,7 @@ impl StreamDecoder {
                         });
                     }
                     self.crc.reset();
+                    self.crc_run_len = 0;
                     self.op = OpState::NeedOpcode;
                     self.phase = Phase::Block;
                 }
@@ -363,6 +383,7 @@ impl StreamDecoder {
                         if self.payload_left != 0 {
                             return self.fail(CodecError::TrailingPayload { block });
                         }
+                        self.absorb_crc_run();
                         if self.crc.value() != self.expected_crc {
                             return self.fail(CodecError::BlockCrcMismatch { block });
                         }
