@@ -9,8 +9,8 @@
 
 use pdr_sim_core::json::{Json, JsonError, ToJson};
 use pdr_sim_core::{
-    fifo_channel, impl_json_struct, Component, Consumer, EdgeCtx, NextWake, Producer, WakeSource,
-    Waker,
+    fifo_channel, impl_json_struct, Component, Consumer, EdgeCtx, NextWake, Producer, WakeLog,
+    WakeSource, Waker,
 };
 
 use crate::mm::{ReadBeat, ReadReq};
@@ -52,6 +52,11 @@ pub struct ReadInterconnect {
     slave_beat_in: Consumer<ReadBeat>,
     /// Round-robin pointer over masters for the address channel.
     rr_next: usize,
+    /// Per master: whether its request FIFO may hold a request. A clear
+    /// entry is empty, so the round-robin scan skips it.
+    req_pending: Vec<bool>,
+    /// The masters whose request FIFO was pushed since the last edge.
+    req_pushed: WakeLog,
     stats: InterconnectStats,
     /// Domain cycle up to which `data_idle` is synchronised (event skipping).
     last_cycle: u64,
@@ -90,6 +95,8 @@ impl ReadInterconnect {
                 slave_req_out: req_tx,
                 slave_beat_in: beat_rx,
                 rr_next: 0,
+                req_pending: Vec::new(),
+                req_pushed: WakeLog::default(),
                 stats: InterconnectStats::default(),
                 last_cycle: 0,
             },
@@ -112,6 +119,8 @@ impl ReadInterconnect {
         assert!(idx < 256, "too many masters");
         let (req_tx, req_rx) = fifo_channel(&format!("{}.m{idx}-req", self.name), 4);
         let (beat_tx, beat_rx) = fifo_channel(&format!("{}.m{idx}-beats", self.name), beat_depth);
+        req_rx.subscribe(&self.req_pushed.add());
+        self.req_pending.push(false);
         self.masters.push(MasterPort {
             req_in: req_rx,
             beat_out: beat_tx,
@@ -141,22 +150,30 @@ impl Component for ReadInterconnect {
         self.catch_up(cycle - 1);
         self.last_cycle = cycle;
         // Address channel: forward one request per cycle, round-robin.
+        while let Some(i) = self.req_pushed.take() {
+            self.req_pending[i] = true;
+        }
         if self.slave_req_out.can_push() && !self.masters.is_empty() {
             let n = self.masters.len();
             for off in 0..n {
                 let i = (self.rr_next + off) % n;
-                if let Some(req) = self.masters[i].req_in.pop() {
-                    debug_assert_eq!(
-                        req.id as usize, i,
-                        "master {i} must tag requests with its port index"
-                    );
-                    self.slave_req_out
-                        .try_push(req)
-                        .expect("checked can_push above");
-                    self.stats.requests += 1;
-                    self.rr_next = (i + 1) % n;
-                    break;
+                if !self.req_pending[i] {
+                    continue;
                 }
+                let Some(req) = self.masters[i].req_in.pop() else {
+                    self.req_pending[i] = false;
+                    continue;
+                };
+                debug_assert_eq!(
+                    req.id as usize, i,
+                    "master {i} must tag requests with its port index"
+                );
+                self.slave_req_out
+                    .try_push(req)
+                    .expect("checked can_push above");
+                self.stats.requests += 1;
+                self.rr_next = (i + 1) % n;
+                break;
             }
         }
 
@@ -188,9 +205,15 @@ impl Component for ReadInterconnect {
     }
 
     fn next_wake(&self, _now_cycle: u64) -> NextWake {
-        let addr_work =
-            self.slave_req_out.can_push() && self.masters.iter().any(|m| !m.req_in.is_empty());
-        if addr_work || !self.slave_beat_in.is_empty() {
+        // Beats in flight settle it without scanning the masters' queues;
+        // a master neither pending nor pushed since the last edge is empty.
+        let pushed = !self.req_pushed.is_empty();
+        let addr_work = || {
+            self.slave_req_out.can_push()
+                && (self.masters.iter().zip(&self.req_pending))
+                    .any(|(m, &pending)| (pending || pushed) && !m.req_in.is_empty())
+        };
+        if !self.slave_beat_in.is_empty() || addr_work() {
             NextWake::EveryCycle
         } else {
             // Every skipped edge would only have counted data-channel
@@ -251,6 +274,8 @@ impl Component for ReadInterconnect {
         for (m, v) in self.masters.iter().zip(reqs) {
             m.req_in.fifo().restore_json(v)?;
         }
+        // A restore fills the queues without pushes: rescan them all.
+        self.req_pending.fill(true);
         Ok(())
     }
 }

@@ -87,6 +87,43 @@ impl fmt::Debug for Watchers {
     }
 }
 
+/// Writes logged for a component's own use: each waker [`WakeLog::add`]
+/// makes records its index here when its signal is written, once until
+/// [`WakeLog::take`] hands it back. Subscribed beside the engine's waker,
+/// it tells a component *which* of many sources was written.
+#[derive(Default)]
+pub struct WakeLog {
+    list: DirtyList,
+    wakers: Vec<Waker>,
+}
+
+impl WakeLog {
+    /// A waker that logs the number of wakers made before it.
+    pub fn add(&mut self) -> Waker {
+        let waker = Waker::new(&self.list, self.wakers.len() as u32);
+        self.wakers.push(waker.clone());
+        waker
+    }
+
+    /// Takes one logged index, if any, re-arming its waker.
+    pub fn take(&self) -> Option<usize> {
+        let id = self.list.borrow_mut().pop()? as usize;
+        self.wakers[id].clear_mark();
+        Some(id)
+    }
+
+    /// Whether nothing was logged since the last [`WakeLog::take`] emptied it.
+    pub fn is_empty(&self) -> bool {
+        self.list.borrow().is_empty()
+    }
+}
+
+impl fmt::Debug for WakeLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "WakeLog({})", self.wakers.len())
+    }
+}
+
 /// A signal a component can put on its sensitivity list.
 ///
 /// Implemented by [`Consumer`](crate::Consumer) (woken by pushes: data
