@@ -229,25 +229,32 @@ impl Component for DramController {
     }
 
     fn sensitivity(&self, waker: &Waker) {
+        // A request wakes an idle controller; a pop from a full beat FIFO
+        // wakes one stalled mid-burst.
         self.ports.req.subscribe(waker);
+        self.ports.beats.subscribe(waker);
     }
 
     fn next_wake(&self, _now_cycle: u64) -> NextWake {
-        // Any in-flight burst or queued request needs edge-by-edge service;
-        // an idle controller only cycles its refresh counters, which
-        // catch_up folds in closed form.
-        if !matches!(self.state, BurstState::Idle) || !self.ports.req.is_empty() {
-            NextWake::EveryCycle
-        } else {
-            NextWake::Idle
+        // An idle controller only cycles its refresh counters, and one
+        // serving a burst into a full beat FIFO only adds output stalls to
+        // them: catch_up folds both in closed form. Any other state, or a
+        // queued request, needs edge-by-edge service.
+        match self.state {
+            BurstState::Idle if self.ports.req.is_empty() => NextWake::Idle,
+            BurstState::Serving { .. } if !self.ports.beats.can_push() => NextWake::Idle,
+            _ => NextWake::EveryCycle,
         }
     }
 
     fn catch_up(&mut self, cycle: u64) {
-        // Replay `cycle - last_cycle` idle edges of the refresh state
+        // Replay `cycle - last_cycle` quiescent edges of the refresh state
         // machine in closed form. Only legal because every folded edge had
-        // `state == Idle` and an empty request queue (next_wake contract),
-        // so the burst arm of on_clock_edge was unreachable.
+        // either `state == Idle` and an empty request queue, so the burst
+        // arm of on_clock_edge was unreachable, or `state == Serving` and a
+        // full beat FIFO, so that arm counted an output stall on every edge
+        // that neither refreshed nor started a refresh (next_wake contract).
+        let stalled = matches!(self.state, BurstState::Serving { .. });
         let mut k = cycle.saturating_sub(self.last_cycle);
         self.last_cycle = cycle;
         while k > 0 {
@@ -264,6 +271,9 @@ impl Component for DramController {
             } else {
                 let d = (self.refresh_in as u64).min(k);
                 self.refresh_in -= d as u32;
+                if stalled {
+                    self.stats.output_stalls += d;
+                }
                 k -= d;
             }
         }

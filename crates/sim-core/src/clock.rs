@@ -8,7 +8,7 @@
 //! re-locking.
 
 use crate::component::ComponentId;
-use crate::time::{Frequency, SimTime, PS_PER_SEC};
+use crate::time::{Frequency, SimDuration, SimTime, PS_PER_SEC};
 
 /// Identifies a clock domain registered with an [`Engine`](crate::Engine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -54,6 +54,10 @@ pub struct DomainCounters {
     pub parked: u64,
 }
 
+/// Spans of up to this many edges are walked with the division-free
+/// stepper; longer ones invert [`Frequency::edge_offset`] in closed form.
+const STEP_LIMIT: u64 = 8;
+
 /// Internal clock-domain state (owned by the engine).
 #[derive(Debug)]
 pub(crate) struct ClockDomain {
@@ -75,14 +79,44 @@ pub(crate) struct ClockDomain {
     /// Components receiving `on_clock_edge`, in registration order.
     pub(crate) members: Vec<ComponentId>,
     pub(crate) counters: DomainCounters,
+    /// Time of edge `next_edge`, stepped without dividing.
+    next_time: SimTime,
+    /// `next_edge · 10¹² mod hz`: the part of a picosecond `next_time`
+    /// truncates, in units of `1/hz` ps.
+    phase_rem: u64,
+    /// `10¹² / hz`, as quotient and remainder.
+    period_ps: u64,
+    period_rem: u64,
+    /// The earliest `due_cycle` of the members (`u64::MAX` without any),
+    /// kept by the engine as it polls them.
+    pub(crate) min_due: u64,
+    /// Whether the domain's next edge waits in a parked cohort.
+    pub(crate) parked: bool,
+    /// The next member of its parked cohort, in pop order.
+    pub(crate) cohort_next: Option<ClockDomainId>,
+    /// Its parked edge's sequence number, as an offset from the cohort's.
+    pub(crate) cohort_offset: u64,
+    /// The head of its parked cohort. The head's state is always current;
+    /// the other members lag it by the head's `cohort_lag` edges.
+    pub(crate) cohort_head: ClockDomainId,
+    /// Head only: the members of its cohort.
+    pub(crate) cohort_len: u64,
+    /// Head only: edges the cohort fired that the other members' state
+    /// does not show yet.
+    pub(crate) cohort_lag: u64,
+    /// Head only: edges the whole cohort may still fire in one step each,
+    /// before any member is due. Zero forces the member-by-member step,
+    /// which also renumbers the offsets `0..cohort_len`.
+    pub(crate) cohort_quiet: u64,
 }
 
 impl ClockDomain {
-    pub(crate) fn new(name: String, frequency: Frequency) -> Self {
-        ClockDomain {
+    /// A domain whose phase starts at `origin`.
+    pub(crate) fn new(name: String, frequency: Frequency, origin: SimTime) -> Self {
+        let mut d = ClockDomain {
             name,
             frequency,
-            phase_origin: SimTime::ZERO,
+            phase_origin: origin,
             edges_since_origin: 0,
             next_edge: 1, // first edge one period after t=0, like a real MMCM
             total_edges: 0,
@@ -90,7 +124,42 @@ impl ClockDomain {
             gated: false,
             members: Vec::new(),
             counters: DomainCounters::default(),
-        }
+            next_time: origin,
+            phase_rem: 0,
+            period_ps: 0,
+            period_rem: 0,
+            min_due: u64::MAX,
+            parked: false,
+            cohort_next: None,
+            cohort_offset: 0,
+            cohort_head: ClockDomainId(0),
+            cohort_len: 0,
+            cohort_lag: 0,
+            cohort_quiet: 0,
+        };
+        d.resync();
+        d
+    }
+
+    /// Recomputes the stepper from the frequency, origin and edge index:
+    /// the one division, after a re-program, a restore or a long fold.
+    pub(crate) fn resync(&mut self) {
+        let hz = self.frequency.as_hz();
+        self.period_ps = PS_PER_SEC / hz;
+        self.period_rem = PS_PER_SEC % hz;
+        let scaled = self.next_edge as u128 * PS_PER_SEC as u128;
+        self.next_time = self.phase_origin + SimDuration::from_ps((scaled / hz as u128) as u64);
+        self.phase_rem = (scaled % hz as u128) as u64;
+    }
+
+    /// The time and remainder one edge after `(time, rem)`: edge `n + 1`
+    /// lies `⌊(n·10¹² mod hz + 10¹² mod hz) / hz⌋` ps past `n + 10¹²/hz`,
+    /// a carry of at most one.
+    fn stepped(&self, (time, rem): (SimTime, u64)) -> (SimTime, u64) {
+        let rem = rem + self.period_rem;
+        let carry = rem >= self.frequency.as_hz();
+        let time = time + SimDuration::from_ps(self.period_ps + carry as u64);
+        (time, rem - if carry { self.frequency.as_hz() } else { 0 })
     }
 
     /// Time of origin-relative edge `n`.
@@ -100,7 +169,46 @@ impl ClockDomain {
 
     /// Time of the next pending edge.
     pub(crate) fn next_edge_time(&self) -> SimTime {
-        self.edge_time(self.next_edge)
+        self.next_time
+    }
+
+    /// Time of the edge `k` edges after the next pending one.
+    pub(crate) fn time_after(&self, k: u64) -> SimTime {
+        if k > STEP_LIMIT {
+            return self.edge_time(self.next_edge + k);
+        }
+        let mut probe = (self.next_time, self.phase_rem);
+        for _ in 0..k {
+            probe = self.stepped(probe);
+        }
+        probe.0
+    }
+
+    /// Whether some member declared work on the next edge.
+    pub(crate) fn due(&self) -> bool {
+        self.min_due <= self.total_edges + 1
+    }
+
+    /// How many edges, from the next one on, fire before a member is due.
+    pub(crate) fn quiet_edges(&self) -> u64 {
+        self.min_due.saturating_sub(self.total_edges + 1)
+    }
+
+    /// Catches up on `k` parked edges that an in-step cohort head has
+    /// already fired, copying the head's stepper instead of stepping.
+    pub(crate) fn follow(&mut self, k: u64, head: (SimTime, u64)) {
+        self.edges_since_origin = self.next_edge + k - 1;
+        self.next_edge += k;
+        self.total_edges += k;
+        self.counters.parked += k;
+        (self.next_time, self.phase_rem) = head;
+        debug_assert_eq!(self.next_time, self.edge_time(self.next_edge));
+    }
+
+    /// The stepper state of the next edge: its time and sub-picosecond
+    /// remainder.
+    pub(crate) fn stepper(&self) -> (SimTime, u64) {
+        (self.next_time, self.phase_rem)
     }
 
     /// Fires the next `k` edges: the counter updates of `k` tick dispatches.
@@ -109,19 +217,45 @@ impl ClockDomain {
         self.edges_since_origin = self.next_edge + k - 1;
         self.next_edge += k;
         self.total_edges += k;
+        if k > STEP_LIMIT {
+            self.resync();
+        } else {
+            let mut probe = (self.next_time, self.phase_rem);
+            for _ in 0..k {
+                probe = self.stepped(probe);
+            }
+            (self.next_time, self.phase_rem) = probe;
+        }
+        debug_assert_eq!(self.next_time, self.edge_time(self.next_edge));
     }
 
     /// How many edges, from the next pending one on, fire strictly before
-    /// `t`. Inverts [`Frequency::edge_offset`]'s truncating division in
-    /// 128-bit arithmetic to find the last such edge index.
+    /// `t`. Steps through short spans; inverts [`Frequency::edge_offset`]'s
+    /// truncating division in 128-bit arithmetic for long ones.
     pub(crate) fn edges_before(&self, t: SimTime) -> u64 {
-        if t <= self.phase_origin {
+        if t <= self.next_time {
             return 0;
+        }
+        let mut probe = (self.next_time, self.phase_rem);
+        for k in 1..=STEP_LIMIT {
+            probe = self.stepped(probe);
+            if probe.0 >= t {
+                return k;
+            }
         }
         let y = (t - self.phase_origin).as_ps() as u128; // edge_offset(e) < y
         let e_max = (y * self.frequency.as_hz() as u128 - 1) / PS_PER_SEC as u128;
         let e_max = u64::try_from(e_max).unwrap_or(u64::MAX);
         e_max.saturating_add(1).saturating_sub(self.next_edge)
+    }
+
+    /// Whether this domain's edges and `other`'s coincide from the next
+    /// one on: same frequency, same next edge, same sub-picosecond phase.
+    /// Division-free, unlike [`ClockDomain::same_grid`], which it implies.
+    pub(crate) fn in_step_with(&self, other: &ClockDomain) -> bool {
+        self.frequency == other.frequency
+            && self.next_time == other.next_time
+            && self.phase_rem == other.phase_rem
     }
 
     /// Whether every edge of `other` falls on an edge of this domain and
@@ -144,6 +278,7 @@ impl ClockDomain {
         self.edges_since_origin = 0;
         self.next_edge = 1;
         self.generation += 1;
+        self.resync();
     }
 
     pub(crate) fn set_gated(&mut self, now: SimTime, gated: bool) {
@@ -157,6 +292,7 @@ impl ClockDomain {
             self.phase_origin = now;
             self.edges_since_origin = 0;
             self.next_edge = 1;
+            self.resync();
         }
     }
 
@@ -173,11 +309,10 @@ impl ClockDomain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn first_edge_is_one_period_after_origin() {
-        let d = ClockDomain::new("clk".into(), Frequency::from_mhz(100));
+        let d = ClockDomain::new("clk".into(), Frequency::from_mhz(100), SimTime::ZERO);
         assert_eq!(
             d.next_edge_time(),
             SimTime::ZERO + SimDuration::from_nanos(10)
@@ -186,7 +321,7 @@ mod tests {
 
     #[test]
     fn reprogram_resets_phase() {
-        let mut d = ClockDomain::new("clk".into(), Frequency::from_mhz(100));
+        let mut d = ClockDomain::new("clk".into(), Frequency::from_mhz(100), SimTime::ZERO);
         let now = SimTime::from_ps(123_456);
         let gen_before = d.generation;
         d.set_frequency(now, Frequency::from_mhz(200));
@@ -197,7 +332,7 @@ mod tests {
     #[test]
     fn edges_before_inverts_edge_time() {
         for mhz in [1, 7, 100, 280, 333, 999] {
-            let mut d = ClockDomain::new("clk".into(), Frequency::from_mhz(mhz));
+            let mut d = ClockDomain::new("clk".into(), Frequency::from_mhz(mhz), SimTime::ZERO);
             d.set_frequency(SimTime::from_ps(12_345), Frequency::from_mhz(mhz));
             d.advance(5);
             for n in d.next_edge..d.next_edge + 50 {
@@ -215,7 +350,7 @@ mod tests {
     #[test]
     fn same_grid_needs_whole_periods_between_origins() {
         let at = |mhz, origin_ps| {
-            let mut d = ClockDomain::new("clk".into(), Frequency::from_mhz(mhz));
+            let mut d = ClockDomain::new("clk".into(), Frequency::from_mhz(mhz), SimTime::ZERO);
             d.set_frequency(SimTime::from_ps(origin_ps), Frequency::from_mhz(mhz));
             d
         };
@@ -229,7 +364,7 @@ mod tests {
 
     #[test]
     fn gating_toggles_and_restarts_phase() {
-        let mut d = ClockDomain::new("clk".into(), Frequency::from_mhz(100));
+        let mut d = ClockDomain::new("clk".into(), Frequency::from_mhz(100), SimTime::ZERO);
         let t1 = SimTime::from_ps(1_000);
         d.set_gated(t1, true);
         assert!(d.gated);

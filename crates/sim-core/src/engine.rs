@@ -148,16 +148,6 @@ impl FromJson for QueueEntry {
     }
 }
 
-impl QueueEntry {
-    /// The clock domain of an edge entry.
-    fn edge_domain(&self) -> Option<ClockDomainId> {
-        match self.action {
-            Action::Edge { domain, .. } => Some(domain),
-            Action::Deliver { .. } => None,
-        }
-    }
-}
-
 impl Ord for QueueEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.time, self.seq).cmp(&(other.time, other.seq))
@@ -208,18 +198,47 @@ pub struct KernelCounters {
     /// [`Component::on_clock_edge`] calls. The tick engine calls every
     /// member on every edge; event-skip calls only members with work.
     pub calls: u64,
+    /// Kernel steps that fired parked edges: a parked cohort's edges on
+    /// one instant, or a closed-form fold. The tick engine never parks.
+    pub parked_steps: u64,
     /// Per clock domain, in registration order, with the domain's name.
     pub domains: Vec<(String, DomainCounters)>,
+}
+
+/// Parked domains whose edges coincide from the next one on
+/// ([`ClockDomain::in_step_with`]), fired together on each shared instant
+/// (`docs/KERNEL.md` §3).
+///
+/// The members chain from `head` to `tail` through
+/// `ClockDomain::cohort_next`, in the order their edges pop; member `m`'s
+/// next edge is the tick engine's queue entry `(time, seq +
+/// m.cohort_offset)`, and the head's offset is zero. No other parked
+/// cohort's sequence numbers lie between a cohort's first and last on the
+/// same instant, so its members pop together against every other parked
+/// edge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Cohort {
+    time: SimTime,
+    seq: u64,
+    head: ClockDomainId,
+    tail: ClockDomainId,
+}
+
+impl Cohort {
+    /// The position of its first edge in the tick engine's pop order.
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
 }
 
 /// Scheduler state shared with components during dispatch.
 #[derive(Debug)]
 struct Kernel {
     queue: BinaryHeap<Reverse<QueueEntry>>,
-    /// The next edge of every parked domain, ascending by `(time, seq)`:
-    /// exactly the entry the tick engine holds in its queue for that domain.
+    /// The parked cohorts, ascending by `(time, seq)`: together they hold
+    /// exactly the entries the tick engine queues for the parked domains.
     /// Event-skip only (see `docs/KERNEL.md` §3).
-    parked: Vec<QueueEntry>,
+    parked: Vec<Cohort>,
     now: SimTime,
     seq: u64,
     domains: Vec<ClockDomain>,
@@ -228,6 +247,7 @@ struct Kernel {
     queue_pops: u64,
     polls: u64,
     calls: u64,
+    parked_steps: u64,
 }
 
 impl Kernel {
@@ -289,21 +309,191 @@ impl Kernel {
         }
     }
 
-    /// Parks a running domain: its next edge goes on the parked list with
-    /// the sequence number the tick engine's re-push would take.
+    /// Parks a running domain: its next edge takes the sequence number
+    /// the tick engine's re-push would take and joins the parked list as a
+    /// cohort of one.
     fn park(&mut self, id: ClockDomainId) {
-        let entry = self.next_edge_entry(id);
-        let at = self.parked.partition_point(|e| *e < entry);
-        self.parked.insert(at, entry);
+        let seq = self.seq;
+        self.seq += 1;
+        let d = &mut self.domains[id.index()];
+        d.parked = true;
+        d.cohort_next = None;
+        d.cohort_offset = 0;
+        d.cohort_head = id;
+        d.cohort_len = 1;
+        d.cohort_lag = 0;
+        d.cohort_quiet = d.quiet_edges();
+        let time = d.next_edge_time();
+        self.insert_cohort(Cohort {
+            time,
+            seq,
+            head: id,
+            tail: id,
+        });
+    }
+
+    /// Puts a cohort holding the newest sequence numbers on the parked
+    /// list. It joins the cohort just before it if that one fires on the
+    /// same instant in step with it: being newest, it has no other parked
+    /// edge between them, so the joint cohort still pops together.
+    fn insert_cohort(&mut self, c: Cohort) {
+        let at = self.parked.partition_point(|p| *p < c);
+        if let Some(prev) = at.checked_sub(1).map(|i| self.parked[i]) {
+            let (lead, joiner) = (
+                &self.domains[prev.head.index()],
+                &self.domains[c.head.index()],
+            );
+            if prev.time == c.time && lead.in_step_with(joiner) {
+                self.sync_cohort(prev.head);
+                self.sync_cohort(c.head);
+                let shift = c.seq - prev.seq;
+                let mut m = Some(c.head);
+                while let Some(id) = m {
+                    let d = &mut self.domains[id.index()];
+                    d.cohort_offset += shift;
+                    d.cohort_head = prev.head;
+                    m = d.cohort_next;
+                }
+                let len = self.domains[c.head.index()].cohort_len;
+                let lead = &mut self.domains[prev.head.index()];
+                lead.cohort_len += len;
+                lead.cohort_quiet = 0;
+                self.domains[prev.tail.index()].cohort_next = Some(c.head);
+                self.parked[at - 1].tail = c.tail;
+                return;
+            }
+        }
+        self.parked.insert(at, c);
+    }
+
+    /// Re-bases the members from `from` on to a cohort sequence number
+    /// `from` holds: `parked[i]` keeps them, starting at `from`. The
+    /// cohort must be current ([`Kernel::sync_cohort`]).
+    fn rebase_cohort(&mut self, i: usize, from: ClockDomainId) {
+        let base = self.domains[from.index()].cohort_offset;
+        let (mut m, mut len) = (Some(from), 0);
+        while let Some(id) = m {
+            let d = &mut self.domains[id.index()];
+            d.cohort_offset -= base;
+            d.cohort_head = from;
+            len += 1;
+            m = d.cohort_next;
+        }
+        let head = &mut self.domains[from.index()];
+        head.cohort_len = len;
+        head.cohort_lag = 0;
+        head.cohort_quiet = 0;
+        let c = &mut self.parked[i];
+        c.seq += base;
+        c.head = from;
+    }
+
+    /// Takes a parked domain out of its cohort and returns its next edge's
+    /// queue entry. The members after it keep their sequence numbers.
+    fn leave_cohort(&mut self, id: ClockDomainId) -> QueueEntry {
+        let head = self.domains[id.index()].cohort_head;
+        let i = self
+            .parked
+            .iter()
+            .position(|c| c.head == head)
+            .expect("a parked domain belongs to a cohort");
+        self.sync_cohort(head);
+        let (mut prev, mut m) = (None, head);
+        while m != id {
+            prev = Some(m);
+            m = self.domains[m.index()]
+                .cohort_next
+                .expect("member in its chain");
+        }
+        let c = self.parked[i];
+        let d = &mut self.domains[id.index()];
+        d.parked = false;
+        let next = d.cohort_next.take();
+        let entry = QueueEntry {
+            time: c.time,
+            seq: c.seq + d.cohort_offset,
+            action: Action::Edge {
+                domain: id,
+                generation: d.generation,
+            },
+        };
+        match (prev, next) {
+            (None, None) => {
+                self.parked.remove(i);
+            }
+            (None, Some(next)) => self.rebase_cohort(i, next),
+            (Some(prev), next) => {
+                self.domains[prev.index()].cohort_next = next;
+                if next.is_none() {
+                    self.parked[i].tail = prev;
+                }
+                let head = &mut self.domains[head.index()];
+                head.cohort_len -= 1;
+                head.cohort_quiet = 0;
+            }
+        }
+        entry
     }
 
     /// Moves a parked domain's next edge onto the event queue unchanged.
     /// Called before a re-program or gate turns that edge stale, so it pops
     /// (as a counted no-op) exactly where the tick engine's would.
     fn unpark(&mut self, id: ClockDomainId) {
-        if let Some(i) = self.parked.iter().position(|e| e.edge_domain() == Some(id)) {
-            let entry = self.parked.remove(i);
+        if self.domains[id.index()].parked {
+            let entry = self.leave_cohort(id);
             self.queue.push(Reverse(entry));
+        }
+    }
+
+    /// Edges a parked domain's cohort has fired that the domain's own
+    /// state does not show yet: zero for a cohort head or a running domain.
+    fn lag(&self, id: ClockDomainId) -> u64 {
+        let d = &self.domains[id.index()];
+        if d.parked && d.cohort_head != id {
+            self.domains[d.cohort_head.index()].cohort_lag
+        } else {
+            0
+        }
+    }
+
+    /// A domain's lifetime edge count, with the edges its cohort fired.
+    fn total_edges(&self, id: ClockDomainId) -> u64 {
+        self.domains[id.index()].total_edges + self.lag(id)
+    }
+
+    /// Brings every member of `head`'s cohort up to the head's edge.
+    fn sync_cohort(&mut self, head: ClockDomainId) {
+        let h = &mut self.domains[head.index()];
+        let lag = std::mem::take(&mut h.cohort_lag);
+        if lag == 0 {
+            return;
+        }
+        let stepper = h.stepper();
+        let mut m = h.cohort_next;
+        while let Some(id) = m {
+            let d = &mut self.domains[id.index()];
+            d.follow(lag, stepper);
+            m = d.cohort_next;
+        }
+    }
+
+    /// Brings every parked cohort's members up to their heads.
+    fn sync_parked(&mut self) {
+        for i in 0..self.parked.len() {
+            let head = self.parked[i].head;
+            self.sync_cohort(head);
+        }
+    }
+
+    /// After a parked domain's earliest wake moved earlier: shortens its
+    /// cohort's quiet span to end before that wake.
+    fn note_wake(&mut self, id: ClockDomainId) {
+        let d = &self.domains[id.index()];
+        if d.parked {
+            let head = d.cohort_head;
+            let quiet = d.min_due.saturating_sub(self.total_edges(id) + 1);
+            let h = &mut self.domains[head.index()];
+            h.cohort_quiet = h.cohort_quiet.min(quiet);
         }
     }
 
@@ -327,6 +517,12 @@ impl Kernel {
     }
 }
 
+/// The fewest edges of the head parked cohort that fold in closed form.
+/// A fold walks every parked cohort and member; a shorter span costs less
+/// as one cohort step per instant (a DDR clock stalled between two 200 MHz
+/// edges has two or three).
+const FOLD_MIN: u64 = 8;
+
 /// What [`Engine::step`] did.
 enum Step {
     /// Dispatched the next action.
@@ -337,13 +533,18 @@ enum Step {
     Idle,
 }
 
-/// A parked domain's part in a closed-form fold: `k` edges from origin
-/// index `n0` (the parked entry, sequence number `seq`).
+/// A parked cohort's part in a closed-form fold: `k` edges of each of its
+/// `members`, from its head's origin index `n0` (the parked entries,
+/// sequence numbers from `seq`), the last at `last`. `base` receives the
+/// sequence number of its head's next entry.
 struct Span {
-    domain: ClockDomainId,
+    cohort: Cohort,
     seq: u64,
     n0: u64,
     k: u64,
+    members: u64,
+    last: SimTime,
+    base: u64,
 }
 
 /// Whether domain `x`'s edge `a` pops before domain `y`'s edge `b`, both on
@@ -411,7 +612,7 @@ impl<'a> EdgeCtx<'a> {
     /// Panics if the component is not bound to a clock domain.
     pub fn cycle(&self) -> u64 {
         let d = self.domain.expect("component has no clock domain");
-        self.kernel.domains[d.index()].total_edges
+        self.kernel.total_edges(d)
     }
 
     /// Schedules `event` for `target`, `after` from now.
@@ -473,6 +674,8 @@ pub struct Engine {
     /// The members called on the edge being dispatched, kept for its
     /// capacity.
     called: Vec<ComponentId>,
+    /// A closed-form fold's cohorts, kept for its capacity.
+    spans: Vec<Span>,
 }
 
 impl Default for Engine {
@@ -501,11 +704,13 @@ impl Engine {
                 queue_pops: 0,
                 polls: 0,
                 calls: 0,
+                parked_steps: 0,
             },
             slots: Vec::new(),
             strategy,
             dirty: DirtyList::default(),
             called: Vec::new(),
+            spans: Vec::new(),
         }
     }
 
@@ -532,11 +737,17 @@ impl Engine {
             queue_pops: self.kernel.queue_pops,
             polls: self.kernel.polls,
             calls: self.kernel.calls,
+            parked_steps: self.kernel.parked_steps,
             domains: self
                 .kernel
                 .domains
                 .iter()
-                .map(|d| (d.name.clone(), d.counters))
+                .enumerate()
+                .map(|(i, d)| {
+                    let mut counters = d.counters;
+                    counters.parked += self.kernel.lag(ClockDomainId(i as u32));
+                    (d.name.clone(), counters)
+                })
                 .collect(),
         }
     }
@@ -545,12 +756,12 @@ impl Engine {
     /// one period after the current instant.
     pub fn add_clock_domain(&mut self, name: &str, frequency: Frequency) -> ClockDomainId {
         let id = ClockDomainId(self.kernel.domains.len() as u32);
-        let mut domain = ClockDomain::new(name.to_string(), frequency);
-        domain.phase_origin = self.kernel.now;
+        let domain = ClockDomain::new(name.to_string(), frequency, self.kernel.now);
         self.kernel.domains.push(domain);
-        // The parked list holds at most one entry per domain: it never
-        // grows while the engine runs.
+        // The parked list and a fold hold at most one cohort per domain:
+        // neither grows while the engine runs.
         self.kernel.parked.reserve(1);
+        self.spans.reserve(1);
         self.kernel.schedule_edge(id);
         id
     }
@@ -577,10 +788,13 @@ impl Engine {
             due_cycle: 0,
             waker,
         });
-        if let Some(d) = domain {
-            self.kernel.domains[d.index()].members.push(id);
-            let members = self.kernel.domains[d.index()].members.len();
+        if let Some(domain) = domain {
+            let d = &mut self.kernel.domains[domain.index()];
+            d.members.push(id);
+            d.min_due = 0;
+            let members = d.members.len();
             self.called.reserve(members);
+            self.kernel.note_wake(domain);
         }
         id
     }
@@ -640,7 +854,9 @@ impl Engine {
 
     /// Information about a clock domain.
     pub fn clock_info(&self, id: ClockDomainId) -> ClockDomainInfo {
-        self.kernel.domains[id.index()].info()
+        let mut info = self.kernel.domains[id.index()].info();
+        info.total_edges = self.kernel.total_edges(id);
+        info
     }
 
     /// Re-programs a clock domain from outside the simulation (test benches,
@@ -731,24 +947,22 @@ impl Engine {
 
     /// Runs the next action in the tick engine's order, first firing the
     /// parked edges that precede it. A parked domain whose member has work
-    /// on its next edge leaves the parked list and dispatches that edge.
+    /// on its next edge leaves its cohort and dispatches that edge.
     fn step(&mut self, deadline: SimTime) -> Step {
         loop {
             let head = self.kernel.queue.peek().map(|Reverse(e)| *e);
-            if let Some(&p) = self.kernel.parked.first() {
-                if head.is_none_or(|h| p < h) {
-                    if p.time > deadline {
+            if let Some(&c) = self.kernel.parked.first() {
+                if head.is_none_or(|h| c.key() < (h.time, h.seq)) {
+                    if c.time > deadline {
                         return Step::PastDeadline;
                     }
-                    let domain = p.edge_domain().expect("parked entries are edges");
-                    if self.due(domain) {
-                        self.kernel.parked.remove(0);
-                        self.kernel.now = p.time;
+                    let past_deadline = SimTime::from_ps(deadline.as_ps().saturating_add(1));
+                    let span_end = head.map_or(past_deadline, |h| h.time.min(past_deadline));
+                    if let Some(domain) = self.fire_parked(head, span_end) {
+                        self.kernel.now = c.time;
                         self.run_edge(domain, None);
                         return Step::Ran;
                     }
-                    let past_deadline = SimTime::from_ps(deadline.as_ps().saturating_add(1));
-                    self.advance_parked(head.map_or(past_deadline, |h| h.time.min(past_deadline)));
                     continue;
                 }
             }
@@ -800,7 +1014,7 @@ impl Engine {
                 let domain = self.slots[target.index()].domain;
                 self.call(target, domain, Some(event));
                 if self.strategy == EngineStrategy::EventSkip {
-                    self.refresh_wakes(&[target]);
+                    self.refresh_wakes(&[target], None);
                 }
             }
         }
@@ -845,7 +1059,7 @@ impl Engine {
         if skip {
             // The poll pushes nothing, so the next edge takes the same
             // sequence number as in the tick engine.
-            self.refresh_wakes(&called);
+            self.refresh_wakes(&called, Some(domain));
         }
         called.clear();
         self.called = called;
@@ -860,146 +1074,293 @@ impl Engine {
         self.kernel.requeue(dispatched, successor);
     }
 
-    /// The earliest cycle on which a member of `domain` declared work
-    /// (`u64::MAX` when all sleep until new input).
-    fn min_due(&self, domain: ClockDomainId) -> u64 {
-        let d = &self.kernel.domains[domain.index()];
-        d.members
-            .iter()
-            .map(|m| self.slots[m.index()].due_cycle)
-            .min()
-            .unwrap_or(u64::MAX)
-    }
-
     /// Whether some member of `domain` declared work on its next edge.
     fn due(&self, domain: ClockDomainId) -> bool {
-        self.min_due(domain) <= self.kernel.domains[domain.index()].total_edges + 1
+        self.kernel.domains[domain.index()].due()
     }
 
-    /// Fires the earliest parked edge, whose members all sleep, together
-    /// with every other parked edge that pops before `bound` (exclusive:
-    /// the queue head, or one past the deadline) and before any parked
-    /// domain's wake. One domain alone on the span steps one edge; several
-    /// edges fold in closed form ([`Engine::fold_parked`]).
-    fn advance_parked(&mut self, bound: SimTime) {
-        let head = self.kernel.parked[0];
-        let id = head.edge_domain().expect("parked entries are edges");
-        let d = &self.kernel.domains[id.index()];
-        let after = d.edge_time(d.next_edge + 1);
-        if after < bound && self.fold_parked(bound) {
-            return;
+    /// Fires the head cohort's edges on its instant in one step, or, when
+    /// the head cohort has [`FOLD_MIN`] or more edges before `span_end`
+    /// (the queue head's instant, or one past the deadline), folds every
+    /// parked edge there in closed form ([`Engine::fold_parked`]).
+    ///
+    /// The tick engine pops each member's edge, dispatches it as a no-op
+    /// and pushes the next one; the fired members' next edges take
+    /// consecutive sequence numbers and form a cohort one period later.
+    /// Inside its quiet span, with every member before `queue_head` and the
+    /// next cohort, a cohort fires whole in constant time: only its head
+    /// steps, and the other members catch up when something reads them
+    /// ([`Kernel::sync_cohort`]). Otherwise the members fire one by one in
+    /// their pop order until one reaches the bound or has work on this
+    /// edge: that member leaves the cohort and is returned for the caller
+    /// to dispatch, and the rest keep their sequence numbers.
+    fn fire_parked(
+        &mut self,
+        queue_head: Option<QueueEntry>,
+        span_end: SimTime,
+    ) -> Option<ClockDomainId> {
+        let c = self.kernel.parked[0];
+        let lead = &self.kernel.domains[c.head.index()];
+        if !lead.due() && lead.edges_before(span_end) >= FOLD_MIN && self.fold_parked(span_end) {
+            return None;
         }
-        // The tick engine pops this edge, dispatches it as a no-op and
-        // pushes the next one: here the next one takes the head's place
-        // and moves back past every entry that pops before it.
-        let d = &mut self.kernel.domains[id.index()];
-        d.advance(1);
-        d.counters.parked += 1;
-        self.kernel.now = head.time;
-        self.kernel.actions_dispatched += 1;
-        let parked = &mut self.kernel.parked;
-        parked[0] = QueueEntry {
-            time: after,
-            seq: self.kernel.seq,
-            action: head.action,
+        let next_cohort = self.kernel.parked.get(1).map(Cohort::key);
+        let bound = match (queue_head.map(|h| (h.time, h.seq)), next_cohort) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
         };
-        self.kernel.seq += 1;
-        let mut i = 0;
-        while i + 1 < parked.len() && parked[i + 1] < parked[i] {
-            parked.swap(i, i + 1);
-            i += 1;
+        let kernel = &mut self.kernel;
+        let seq = kernel.seq;
+        let lead = &mut kernel.domains[c.head.index()];
+        // A positive quiet span implies offsets `0..cohort_len`.
+        let whole = (c.time, c.seq + lead.cohort_len - 1);
+        if lead.cohort_quiet > 0 && bound.is_none_or(|b| whole < b) {
+            lead.advance(1);
+            lead.counters.parked += 1;
+            lead.cohort_lag += 1;
+            lead.cohort_quiet -= 1;
+            let (fired, time) = (lead.cohort_len, lead.next_edge_time());
+            kernel.now = c.time;
+            kernel.seq += fired;
+            kernel.actions_dispatched += fired;
+            kernel.parked_steps += 1;
+            kernel.parked.remove(0);
+            kernel.insert_cohort(Cohort { time, seq, ..c });
+            #[cfg(debug_assertions)]
+            self.audit_parked();
+            return None;
         }
+        kernel.sync_cohort(c.head);
+        let (mut fired, mut last, mut quiet) = (0, c.head, u64::MAX);
+        let mut rest = Some(c.head);
+        let mut woke = None;
+        while let Some(id) = rest {
+            let d = &mut kernel.domains[id.index()];
+            if bound.is_some_and(|b| (c.time, c.seq + d.cohort_offset) >= b) {
+                break;
+            }
+            if d.due() {
+                woke = Some(id);
+                break;
+            }
+            d.advance(1);
+            d.counters.parked += 1;
+            d.cohort_offset = fired;
+            quiet = quiet.min(d.quiet_edges());
+            fired += 1;
+            last = id;
+            rest = d.cohort_next;
+        }
+        debug_assert!(fired > 0 || woke.is_some(), "a parked step fired nothing");
+        if fired > 0 {
+            kernel.now = c.time;
+            kernel.seq += fired;
+            kernel.actions_dispatched += fired;
+            kernel.parked_steps += 1;
+            kernel.domains[last.index()].cohort_next = None;
+            match rest {
+                None => {
+                    kernel.parked.remove(0);
+                }
+                Some(from) => kernel.rebase_cohort(0, from),
+            }
+        }
+        if let Some(id) = woke {
+            kernel.leave_cohort(id);
+        }
+        if fired > 0 {
+            let head = &mut kernel.domains[c.head.index()];
+            head.cohort_len = fired;
+            head.cohort_quiet = quiet;
+            let time = head.next_edge_time();
+            kernel.insert_cohort(Cohort {
+                time,
+                seq,
+                head: c.head,
+                tail: last,
+            });
+        }
+        #[cfg(debug_assertions)]
+        self.audit_parked();
+        woke
     }
 
-    /// Folds every parked domain's edges before `bound` and before the
+    /// Folds every parked cohort's edges before `bound` and before the
     /// earliest parked wake in one step. Returns false, folding nothing,
-    /// when the head domain has fewer than two edges in that span.
+    /// when the head cohort has fewer than [`FOLD_MIN`] edges in that span.
     ///
     /// Exactness: each domain's clock counters advance by its `k` edges,
     /// time moves to the last folded edge, and `actions_dispatched` and the
     /// sequence counter grow by the total, as that many tick pops would.
-    /// Each domain's next entry takes the sequence number the tick engine
-    /// gave it: the counter plus every pop before that domain's last one —
-    /// its own earlier edges, other domains' earlier edges, and their edges
-    /// on the same instant that pop first ([`pops_first`]).
+    /// Each member's next entry takes the sequence number the tick engine
+    /// gave it: the counter plus every pop before that member's last one —
+    /// its cohort's earlier edges and the members before it on the last
+    /// instant, other cohorts' earlier edges, and their edges on the same
+    /// instant that pop first ([`pops_first`]). A cohort's members pop
+    /// together on every instant, so they keep consecutive numbers.
     fn fold_parked(&mut self, bound: SimTime) -> bool {
+        self.kernel.sync_parked();
+        let domains = &self.kernel.domains;
+        let members = |c: &Cohort| {
+            std::iter::successors(Some(c.head), |m| domains[m.index()].cohort_next)
+                .map(|m| &domains[m.index()])
+        };
         // A wake ends the span for every domain: the woken edge dispatches,
         // and what it pushes can land anywhere after it.
         let mut limit = bound;
-        for e in &self.kernel.parked {
-            let id = e.edge_domain().expect("parked entries are edges");
-            let (due, d) = (self.min_due(id), &self.kernel.domains[id.index()]);
-            if due == u64::MAX {
-                continue;
-            }
-            let wake = due.saturating_sub(d.total_edges + 1);
-            if wake < d.edges_before(limit) {
-                limit = d.edge_time(d.next_edge + wake);
+        for d in self.kernel.parked.iter().flat_map(members) {
+            if d.min_due != u64::MAX {
+                let wake = d.min_due.saturating_sub(d.total_edges + 1);
+                if wake < d.edges_before(limit) {
+                    limit = d.time_after(wake);
+                }
             }
         }
-        let domains = &self.kernel.domains;
-        let spans: Vec<Span> = self
-            .kernel
-            .parked
-            .iter()
-            .map(|e| {
-                let domain = e.edge_domain().expect("parked entries are edges");
-                let d = &domains[domain.index()];
-                Span {
-                    domain,
-                    seq: e.seq,
-                    n0: d.next_edge,
-                    k: d.edges_before(limit),
-                }
-            })
-            .collect();
-        if spans[0].k < 2 {
+        let mut spans = std::mem::take(&mut self.spans);
+        spans.clear();
+        spans.extend(self.kernel.parked.iter().map(|&cohort| {
+            let lead = &domains[cohort.head.index()];
+            Span {
+                cohort,
+                seq: cohort.seq,
+                n0: lead.next_edge,
+                k: lead.edges_before(limit),
+                members: lead.cohort_len,
+                last: SimTime::ZERO,
+                base: 0,
+            }
+        }));
+        if spans[0].k < FOLD_MIN {
+            self.spans = spans;
             return false;
         }
 
         let start_seq = self.kernel.seq;
-        let mut seqs = Vec::with_capacity(spans.len());
-        for x in &spans {
-            let dx = &domains[x.domain.index()];
+        for i in 0..spans.len() {
+            let x = &spans[i];
             if x.k == 0 {
-                seqs.push(None);
                 continue;
             }
+            let dx = &domains[x.cohort.head.index()];
             let a = x.n0 + x.k - 1;
-            let t = dx.edge_time(a);
-            let mut before = x.k - 1;
-            for y in spans.iter().filter(|y| y.domain != x.domain) {
-                let dy = &domains[y.domain.index()];
+            let t = dx.time_after(x.k - 1);
+            let mut before = (x.k - 1) * x.members;
+            for y in spans.iter().filter(|y| y.cohort != x.cohort && y.k > 0) {
+                let dy = &domains[y.cohort.head.index()];
                 let c = dy.edges_before(t);
                 debug_assert!(c <= y.k, "fold span overran a domain");
-                before += c;
+                before += c * y.members;
                 let b = y.n0 + c;
-                if c < y.k && dy.edge_time(b) == t && pops_first((dy, y), b, (dx, x), a) {
-                    before += 1;
+                if c < y.k && dy.time_after(c) == t && pops_first((dy, y), b, (dx, x), a) {
+                    before += y.members;
                 }
             }
-            seqs.push(Some(start_seq + before));
+            spans[i].last = t;
+            spans[i].base = start_seq + before;
         }
 
         let mut total = 0;
         let mut last = self.kernel.now;
-        for ((span, seq), entry) in spans.iter().zip(seqs).zip(&mut self.kernel.parked) {
-            let Some(seq) = seq else {
+        for (span, cohort) in spans.iter().zip(&mut self.kernel.parked) {
+            if span.k == 0 {
                 continue;
-            };
-            let d = &mut self.kernel.domains[span.domain.index()];
-            last = last.max(d.edge_time(span.n0 + span.k - 1));
-            d.advance(span.k);
-            d.counters.parked += span.k;
-            total += span.k;
-            entry.time = d.next_edge_time();
-            entry.seq = seq;
+            }
+            last = last.max(span.last);
+            let (mut m, mut offset, mut quiet) = (Some(span.cohort.head), 0, u64::MAX);
+            while let Some(id) = m {
+                let d = &mut self.kernel.domains[id.index()];
+                d.advance(span.k);
+                d.counters.parked += span.k;
+                d.cohort_offset = offset;
+                quiet = quiet.min(d.quiet_edges());
+                offset += 1;
+                m = d.cohort_next;
+            }
+            self.kernel.domains[span.cohort.head.index()].cohort_quiet = quiet;
+            total += span.k * span.members;
+            cohort.time = self.kernel.domains[span.cohort.head.index()].next_edge_time();
+            cohort.seq = span.base;
         }
+        self.spans = spans;
         self.kernel.parked.sort_unstable();
         self.kernel.now = last;
         self.kernel.actions_dispatched += total;
         self.kernel.seq += total;
+        self.kernel.parked_steps += 1;
+        #[cfg(debug_assertions)]
+        self.audit_parked();
         true
+    }
+
+    /// Debug builds: checks the parked list's shape after every parked
+    /// step — ascending order; members flagged parked, pointing at their
+    /// head and, once caught up, in step with it; offsets ascending from
+    /// zero, and exactly `0..cohort_len` with no member due inside a
+    /// positive quiet span; and no cohort's sequence numbers between
+    /// another's first and last on the same instant.
+    #[cfg(debug_assertions)]
+    fn audit_parked(&self) {
+        let kernel = &self.kernel;
+        let domains = &kernel.domains;
+        let parked = &kernel.parked;
+        assert!(
+            parked.windows(2).all(|w| w[0] < w[1]),
+            "parked list out of order"
+        );
+        let mut ranges = Vec::new();
+        for c in parked {
+            let head = &domains[c.head.index()];
+            let (mut m, mut prev, mut last_offset, mut len) = (Some(c.head), None, None, 0);
+            while let Some(id) = m {
+                let d = &domains[id.index()];
+                let lag = kernel.lag(id);
+                assert!(d.parked, "cohort member '{}' not flagged parked", d.name);
+                assert_eq!(d.cohort_head, c.head, "'{}' head", d.name);
+                assert!(lag > 0 || d.in_step_with(head), "'{}' out of step", d.name);
+                assert_eq!(
+                    d.time_after(lag),
+                    c.time,
+                    "'{}' off its cohort's instant",
+                    d.name
+                );
+                assert!(
+                    d.min_due.saturating_sub(kernel.total_edges(id) + 1) >= head.cohort_quiet,
+                    "'{}' due inside its cohort's quiet span",
+                    d.name
+                );
+                if head.cohort_quiet > 0 {
+                    assert_eq!(d.cohort_offset, len, "'{}' offset", d.name);
+                }
+                len += 1;
+                assert!(
+                    last_offset.is_none_or(|o| d.cohort_offset > o),
+                    "offsets not ascending"
+                );
+                last_offset = Some(d.cohort_offset);
+                prev = m;
+                m = d.cohort_next;
+            }
+            assert_eq!(head.cohort_offset, 0, "head offset");
+            assert_eq!(head.cohort_len, len, "cohort length");
+            assert_eq!(prev, Some(c.tail), "cohort tail");
+            ranges.push((c.time, c.seq, c.seq + last_offset.unwrap_or(0)));
+        }
+        for (i, a) in ranges.iter().enumerate() {
+            for b in &ranges[i + 1..] {
+                assert!(
+                    a.0 != b.0 || a.2 < b.1 || b.2 < a.1,
+                    "parked cohorts interleave on one instant"
+                );
+            }
+        }
+        let flagged = domains.iter().filter(|d| d.parked).count();
+        let chained = parked
+            .iter()
+            .map(|c| {
+                std::iter::successors(Some(c.head), |m| domains[m.index()].cohort_next).count()
+            })
+            .sum::<usize>();
+        assert_eq!(flagged, chained, "a parked domain outside every cohort");
     }
 
     /// Starts a run. Harness code may have pushed FIFOs, written
@@ -1009,7 +1370,7 @@ impl Engine {
     fn start_run(&mut self) {
         self.kernel.stop_request = None;
         if self.strategy == EngineStrategy::EventSkip {
-            self.refresh_wakes(&[]);
+            self.refresh_wakes(&[], None);
         }
     }
 
@@ -1022,9 +1383,31 @@ impl Engine {
     /// write can only have brought its work earlier, never later (an early
     /// wake is always safe, see `docs/KERNEL.md` §2). No other component
     /// is polled: nothing it declared sensitivity to was written.
-    fn refresh_wakes(&mut self, called: &[ComponentId]) {
+    ///
+    /// `edge` names the domain when `called` are the members run on its
+    /// edge. The members it skipped sleep past that edge, so when a called
+    /// member is due on the next one, that is the domain's earliest wake
+    /// and no member scan is needed.
+    fn refresh_wakes(&mut self, called: &[ComponentId], edge: Option<ClockDomainId>) {
+        let mut risen = false;
         for &id in called {
-            self.poll(id, true);
+            risen |= self.poll(id, true);
+        }
+        if risen {
+            let domain = edge
+                .or(self.slots[called[0].index()].domain)
+                .expect("a risen wake is clocked");
+            let d = &mut self.kernel.domains[domain.index()];
+            let next = d.total_edges + 1;
+            if edge.is_some()
+                && called
+                    .iter()
+                    .any(|m| self.slots[m.index()].due_cycle == next)
+            {
+                d.min_due = next;
+            } else {
+                self.recompute_min_due(domain);
+            }
         }
         loop {
             let Some(id) = self.dirty.borrow_mut().pop() else {
@@ -1042,24 +1425,41 @@ impl Engine {
 
     /// Polls one component's wake: authoritatively, or min-merged into its
     /// stored wake. A min-merge skips a component already due on its next
-    /// edge, since it cannot move that wake earlier.
-    fn poll(&mut self, id: ComponentId, authoritative: bool) {
+    /// edge, since it cannot move that wake earlier. Keeps its domain's
+    /// earliest wake, and returns whether that may have moved later: the
+    /// caller then recomputes it ([`Engine::recompute_min_due`]).
+    fn poll(&mut self, id: ComponentId, authoritative: bool) -> bool {
         let slot = &self.slots[id.index()];
         let (Some(domain), Some(component)) = (slot.domain, slot.component.as_ref()) else {
-            return;
+            return false;
         };
-        let now_cycle = self.kernel.domains[domain.index()].total_edges;
+        let now_cycle = self.kernel.total_edges(domain);
         if !authoritative && slot.due_cycle <= now_cycle + 1 {
-            return;
+            return false;
         }
         self.kernel.polls += 1;
         let due = due_cycle(now_cycle, component.next_wake(now_cycle));
         let slot = &mut self.slots[id.index()];
-        slot.due_cycle = if authoritative {
-            due
-        } else {
-            slot.due_cycle.min(due)
-        };
+        let old = slot.due_cycle;
+        slot.due_cycle = if authoritative { due } else { old.min(due) };
+        let d = &mut self.kernel.domains[domain.index()];
+        d.min_due = d.min_due.min(slot.due_cycle);
+        let risen = slot.due_cycle > old && old == d.min_due;
+        if d.parked {
+            self.kernel.note_wake(domain);
+        }
+        risen
+    }
+
+    /// Re-reads a domain's earliest member wake.
+    fn recompute_min_due(&mut self, domain: ClockDomainId) {
+        let d = &mut self.kernel.domains[domain.index()];
+        d.min_due = d
+            .members
+            .iter()
+            .map(|m| self.slots[m.index()].due_cycle)
+            .min()
+            .unwrap_or(u64::MAX);
     }
 
     /// Debug builds: checks every sleeping component's declaration against
@@ -1073,7 +1473,7 @@ impl Engine {
             let (Some(domain), Some(component)) = (slot.domain, slot.component.as_ref()) else {
                 continue;
             };
-            let now_cycle = self.kernel.domains[domain.index()].total_edges;
+            let now_cycle = self.kernel.total_edges(domain);
             if slot.due_cycle <= now_cycle + 1 {
                 continue;
             }
@@ -1086,6 +1486,19 @@ impl Engine {
                 slot.due_cycle
             );
         }
+        for d in &self.kernel.domains {
+            let min = d
+                .members
+                .iter()
+                .map(|m| self.slots[m.index()].due_cycle)
+                .min();
+            assert_eq!(
+                d.min_due,
+                min.unwrap_or(u64::MAX),
+                "'{}' earliest wake",
+                d.name
+            );
+        }
     }
 
     /// Folds every clocked component up to its domain's current edge count
@@ -1096,6 +1509,7 @@ impl Engine {
         if self.strategy != EngineStrategy::EventSkip {
             return;
         }
+        self.kernel.sync_parked();
         for idx in 0..self.slots.len() {
             let Some(d) = self.slots[idx].domain else {
                 continue;
@@ -1123,20 +1537,37 @@ impl Engine {
             "snapshot taken mid-dispatch"
         );
         // Parked domains' next edges render where the tick engine queues them.
-        let mut entries: Vec<&QueueEntry> = self.kernel.queue.iter().map(|Reverse(e)| e).collect();
-        entries.extend(&self.kernel.parked);
+        let mut entries: Vec<QueueEntry> = self.kernel.queue.iter().map(|Reverse(e)| *e).collect();
+        let domains = &self.kernel.domains;
+        for c in &self.kernel.parked {
+            let chain = std::iter::successors(Some(c.head), |m| domains[m.index()].cohort_next);
+            entries.extend(chain.map(|m| QueueEntry {
+                time: c.time,
+                seq: c.seq + domains[m.index()].cohort_offset,
+                action: Action::Edge {
+                    domain: m,
+                    generation: domains[m.index()].generation,
+                },
+            }));
+        }
         entries.sort();
+        // A lagging cohort member renders the edges its head fired for it.
+        let lag = |i: usize| self.kernel.lag(ClockDomainId(i as u32));
         let domains: Vec<DomainState> = self
             .kernel
             .domains
             .iter()
-            .map(|d| DomainState {
+            .enumerate()
+            .map(|(i, d)| DomainState {
                 name: d.name.clone(),
                 hz: d.frequency,
                 phase_origin: d.phase_origin,
-                edges_since_origin: d.edges_since_origin,
-                next_edge: d.next_edge,
-                total_edges: d.total_edges,
+                edges_since_origin: match lag(i) {
+                    0 => d.edges_since_origin,
+                    k => d.next_edge + k - 1,
+                },
+                next_edge: d.next_edge + lag(i),
+                total_edges: d.total_edges + lag(i),
                 generation: d.generation,
                 gated: d.gated,
             })
@@ -1312,6 +1743,9 @@ impl Engine {
             d.total_edges = dv.total_edges;
             d.generation = dv.generation;
             d.gated = dv.gated;
+            d.parked = false;
+            d.cohort_next = None;
+            d.resync();
         }
         for (i, cv) in components.iter().enumerate() {
             // The restored state's pending writes were never marked on
@@ -1324,6 +1758,9 @@ impl Engine {
                 .expect("restore during dispatch")
                 .restore_state(cv.required("state")?)
                 .map_err(|e| err(format!("component '{}': {}", self.slots[i].name, e.msg)))?;
+        }
+        for i in 0..self.kernel.domains.len() {
+            self.recompute_min_due(ClockDomainId(i as u32));
         }
         Ok(())
     }

@@ -276,6 +276,7 @@ fn counter_delta(before: &KernelCounters, after: &KernelCounters) -> (u64, Vec<D
 fn reconfiguration_kernel_counters_are_pinned() {
     let (before, after) = reconfig_counters(EngineStrategy::EventSkip);
     let (pops, skip) = counter_delta(&before, &after);
+    let parked_steps = after.parked_steps - before.parked_steps;
     let (before, after) = reconfig_counters(EngineStrategy::Tick);
     let (tick_pops, tick) = counter_delta(&before, &after);
 
@@ -297,18 +298,23 @@ fn reconfiguration_kernel_counters_are_pinned() {
     }
     let pin = |name: &str, d: (u64, u64, u64, u64)| (name.to_string(), d);
     assert_eq!(tick_pops, 178_741);
-    assert_eq!(pops, 46_051);
+    assert_eq!(pops, 19_231);
+    // The tick engine never parks; event-skip fires the partition clocks'
+    // cohort, and the DDR clock through its stalls, off the queue.
+    assert_eq!(after.parked_steps, 0, "tick");
+    assert_eq!(parked_steps, 27_455);
     // Wake polls and member calls: event-skip polls the members it called,
     // the event targets and the components whose sources were written, and
     // calls only members with work; the tick engine calls every member on
     // every edge and never polls.
     assert_eq!(polls_and_calls(EngineStrategy::Tick), (0, 299_861));
-    assert_eq!(polls_and_calls(EngineStrategy::EventSkip), (68_100, 68_068));
+    assert_eq!(polls_and_calls(EngineStrategy::EventSkip), (51_448, 46_328));
     assert_eq!(
         skip,
         vec![
             pin("fclk-axi", (5_451, 5_584, 0, 11_719)),
-            pin("ddr", (29_507, 29_508, 0, 62_717)),
+            // The controller sleeps while its beat FIFO is full.
+            pin("ddr", (2_687, 7_768, 0, 84_457)),
             pin("overclock", (11_093, 11_093, 1, 23_512)),
             pin("rp1-clk", (0, 0, 0, 17_303)),
             pin("rp2-clk", (0, 0, 0, 17_303)),
@@ -335,18 +341,22 @@ fn reconfiguration_work_is_flat_in_the_partition_count() {
     // accelerator sink on its own clock. Neither is fed during a
     // reconfiguration of RP1, so neither may be called, polled or queued:
     // the work must not grow with the partition count.
+    // The idle partition clocks share one edge grid: they park as one
+    // cohort, whose edges fire in one kernel step per shared instant
+    // however many partitions it holds.
     let work = |config| {
         let (before, after) = reconfig_counters_on(config);
         (
             after.queue_pops - before.queue_pops,
             after.polls - before.polls,
             after.calls - before.calls,
+            after.parked_steps - before.parked_steps,
         )
     };
-    assert_eq!(
-        work(one_partition_per_row(8)),
-        work(SystemConfig::fast_test())
-    );
+    let two = work(SystemConfig::fast_test());
+    for n in [2, 8, 16] {
+        assert_eq!(work(one_partition_per_row(n)), two, "{n} partitions");
+    }
 }
 
 #[test]

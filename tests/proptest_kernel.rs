@@ -16,8 +16,8 @@ use pdr_lab::fabric::{ColumnKind, Geometry};
 use pdr_lab::sim::json::Json;
 use pdr_lab::sim::stats::OnlineStats;
 use pdr_lab::sim::{
-    fifo_channel, Component, ComponentId, Consumer, EdgeCtx, Engine, EngineStrategy, Event,
-    Frequency, NextWake, Producer, SimDuration, WakeSource, Waker,
+    fifo_channel, ClockDomainId, Component, ComponentId, Consumer, EdgeCtx, Engine, EngineStrategy,
+    Event, Frequency, NextWake, Producer, SimDuration, WakeSource, Waker,
 };
 
 fn cfg() -> Config {
@@ -472,24 +472,81 @@ property! {
         segments in vec_of(u64s(1..30), 1..4),
     ) {
         let (sleepers, feeder_first, busy) = shape;
-        let run = |strategy| {
-            run_sleepers(strategy, grid, sleepers, feeder_first, busy, feed, &segments)
+        let rig = SleeperRig {
+            grid,
+            sleepers,
+            feeder_first,
+            busy: if busy { vec![333] } else { vec![] },
+            feed,
+            levers: None,
         };
-        let tick = run(EngineStrategy::Tick);
-        let skip = run(EngineStrategy::EventSkip);
+        let tick = run_sleepers(EngineStrategy::Tick, &rig, &segments);
+        let skip = run_sleepers(EngineStrategy::EventSkip, &rig, &segments);
+        assert_eq!(tick.1, skip.1, "work order diverged");
+        assert_eq!(tick, skip, "consumption, time, queue or clocks diverged");
+    }
+
+    /// Up to sixteen idle sinks on one 100 MHz edge grid park as one
+    /// cohort beside busy domains on and off that grid. The feeder wakes
+    /// members with FIFO pushes, re-programs the first sink's clock and
+    /// gates the last one's mid-run (the harness un-gates it between
+    /// segments, so it parks again on a new phase). The work log, and after
+    /// every segment the queue with every sequence number, the clocks and
+    /// the checkpoint must match the tick oracle.
+    fn idle_sink_cohorts_match_tick(
+        sinks in usizes(1..17),
+        feed_mhz in select(vec![533u64, 200, 100]),
+        busy in vec_of(select(vec![533u64, 200, 100]), 0..3),
+        feed in tuple4(u64s(2..400), u64s(1..4), u64s(1..5), bools()),
+        levers in tuple2(u64s(1..300), u64s(1..300)),
+        segments in vec_of(u64s(1..30), 1..4),
+    ) {
+        let (gap, burst, bursts, feeder_first) = feed;
+        let rig = SleeperRig {
+            grid: (feed_mhz, 100),
+            sleepers: sinks,
+            feeder_first,
+            busy,
+            feed: (gap, burst, bursts),
+            levers: Some(levers),
+        };
+        let tick = run_sleepers(EngineStrategy::Tick, &rig, &segments);
+        let skip = run_sleepers(EngineStrategy::EventSkip, &rig, &segments);
         assert_eq!(tick.1, skip.1, "work order diverged");
         assert_eq!(tick, skip, "consumption, time, queue or clocks diverged");
     }
 }
 
+/// The shape of a sleeper run.
+struct SleeperRig {
+    /// `(feeder MHz, sleeper MHz)`.
+    grid: (u64, u64),
+    sleepers: usize,
+    /// Whether the feeder's domain registers before the sleepers'.
+    feeder_first: bool,
+    /// One busy chaos node per entry, each on its own domain of that
+    /// frequency.
+    busy: Vec<u64>,
+    /// `(gap, burst, bursts)` of the feeder.
+    feed: (u64, u64, u64),
+    /// Feeder cycles on which it re-programs the first sleeper's clock
+    /// (to its own frequency, restarting its phase) and gates the last
+    /// one's; the harness un-gates it after every segment.
+    levers: Option<(u64, u64)>,
+}
+
 /// Pushes `burst` beats, round-robin over the sleepers' FIFOs, on every
-/// `gap`-th edge of its domain, and logs the pings sleepers send back.
+/// `gap`-th edge of its domain, and logs the pings sleepers send back. On
+/// its lever cycles it re-programs one sleeper clock and gates another.
 struct Feeder {
     gap: u64,
     burst: u64,
     bursts_left: u64,
     outputs: Vec<Producer<u64>>,
     next_out: usize,
+    /// `(cycle, domain)` to re-program and to gate.
+    reprogram: Option<(u64, ClockDomainId)>,
+    gate: Option<(u64, ClockDomainId)>,
     log: WorkLog,
 }
 
@@ -500,6 +557,15 @@ impl Component for Feeder {
 
     fn on_clock_edge(&mut self, ctx: &mut EdgeCtx<'_>) {
         let cycle = ctx.cycle();
+        if let Some((_, d)) = self.reprogram.filter(|&(at, _)| at == cycle) {
+            log_work(&self.log, ctx, 0, Work::Event);
+            let f = ctx.clock_frequency(d);
+            ctx.set_clock_frequency(d, f);
+        }
+        if let Some((_, d)) = self.gate.filter(|&(at, _)| at == cycle) {
+            log_work(&self.log, ctx, 0, Work::Event);
+            ctx.gate_clock(d, true);
+        }
         if self.bursts_left == 0 || !cycle.is_multiple_of(self.gap) {
             return;
         }
@@ -517,10 +583,15 @@ impl Component for Feeder {
     }
 
     fn next_wake(&self, now_cycle: u64) -> NextWake {
-        if self.bursts_left == 0 {
-            NextWake::Idle
-        } else {
-            NextWake::In(self.gap - now_cycle % self.gap)
+        let burst = (self.bursts_left > 0).then(|| self.gap - now_cycle % self.gap);
+        let lever = [self.reprogram, self.gate]
+            .into_iter()
+            .flatten()
+            .filter(|&(at, _)| at > now_cycle)
+            .map(|(at, _)| at - now_cycle);
+        match burst.into_iter().chain(lever).min() {
+            Some(n) => NextWake::In(n),
+            None => NextWake::Idle,
         }
     }
 }
@@ -567,13 +638,16 @@ impl Component for Sleeper {
 
 fn run_sleepers(
     strategy: EngineStrategy,
-    (feeder_mhz, sleeper_mhz): (u64, u64),
-    sleepers: usize,
-    feeder_first: bool,
-    busy: bool,
-    (gap, burst, bursts): (u64, u64, u64),
+    rig: &SleeperRig,
     segments: &[u64],
 ) -> (Vec<u64>, Vec<WorkEntry>, Vec<String>) {
+    let SleeperRig {
+        grid: (feeder_mhz, sleeper_mhz),
+        sleepers,
+        feeder_first,
+        feed: (gap, burst, bursts),
+        ..
+    } = *rig;
     let mut e = Engine::with_strategy(strategy);
     let log = WorkLog::default();
     let add_sleeper_domains = |e: &mut Engine| -> Vec<_> {
@@ -594,12 +668,15 @@ fn run_sleepers(
     let (txs, rxs): (Vec<_>, Vec<_>) = (0..sleepers)
         .map(|i| fifo_channel::<u64>(&format!("beats{i}"), 64))
         .unzip();
+    let gated = rig.levers.map(|(_, at)| (at, sleep_clks[sleepers - 1]));
     let feeder = Feeder {
         gap,
         burst,
         bursts_left: bursts,
         outputs: txs,
         next_out: 0,
+        reprogram: rig.levers.map(|(at, _)| (at, sleep_clks[0])),
+        gate: gated,
         log: log.clone(),
     };
     // Components register in the same order as their domains.
@@ -629,17 +706,21 @@ fn run_sleepers(
     for &id in &sleeper_ids {
         e.component_mut::<Sleeper>(id).feeder = Some(fid);
     }
-    if busy {
-        // Real edges on a third grid between the sleepers' edges.
-        let clk = e.add_clock_domain("busy", Frequency::from_mhz(333));
-        let node = ChaosNode::new(99, vec![1, 2, 3], None, true, 0, log.clone());
+    for (i, &mhz) in rig.busy.iter().enumerate() {
+        // Real edges around the sleepers' edges, on their grid or another.
+        let clk = e.add_clock_domain(&format!("busy{i}"), Frequency::from_mhz(mhz));
+        let node = ChaosNode::new(99 + i as u64, vec![1, 2, 3], None, true, 0, log.clone());
         e.add_component(node, Some(clk));
     }
     let states = segments
         .iter()
         .map(|&us| {
             e.run_for(SimDuration::from_micros(us));
-            kernel_state(&e)
+            let state = kernel_state(&e);
+            if let Some((_, d)) = gated {
+                e.gate_clock(d, false);
+            }
+            state
         })
         .collect();
     let mut observed: Vec<u64> = sleeper_ids
