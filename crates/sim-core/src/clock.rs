@@ -172,16 +172,22 @@ impl ClockDomain {
         self.next_time
     }
 
-    /// Time of the edge `k` edges after the next pending one.
-    pub(crate) fn time_after(&self, k: u64) -> SimTime {
-        if k > STEP_LIMIT {
-            return self.edge_time(self.next_edge + k);
-        }
+    /// The stepper state `k` edges after the next pending one, walked.
+    fn stepped_by(&self, k: u64) -> (SimTime, u64) {
         let mut probe = (self.next_time, self.phase_rem);
         for _ in 0..k {
             probe = self.stepped(probe);
         }
-        probe.0
+        probe
+    }
+
+    /// Time of the edge `k` edges after the next pending one.
+    pub(crate) fn time_after(&self, k: u64) -> SimTime {
+        if k > STEP_LIMIT {
+            self.edge_time(self.next_edge + k)
+        } else {
+            self.stepped_by(k).0
+        }
     }
 
     /// Whether some member declared work on the next edge.
@@ -220,11 +226,7 @@ impl ClockDomain {
         if k > STEP_LIMIT {
             self.resync();
         } else {
-            let mut probe = (self.next_time, self.phase_rem);
-            for _ in 0..k {
-                probe = self.stepped(probe);
-            }
-            (self.next_time, self.phase_rem) = probe;
+            (self.next_time, self.phase_rem) = self.stepped_by(k);
         }
         debug_assert_eq!(self.next_time, self.edge_time(self.next_edge));
     }
